@@ -1,11 +1,16 @@
-"""Columnar-kernel throughput gates: ITTAGE replay and fused campaigns.
+"""Columnar-kernel throughput gates: ITTAGE and VPC replay, fused campaigns.
 
-Two measurements, two CI gates, one results file:
+Three measurements, three CI gates, one results file:
 
 * **ITTAGE columnar** — ``simulate(ITTAGE(), trace, backend="columnar")``
   vs the scalar engine over a suite sample.  The columnar kernel
   vectorises the base/tagged-table walk that dominates scalar ITTAGE,
   so the gate demands a wide margin (default ≥ 3x).
+
+* **VPC columnar** — the same comparison for ``VPCPredictor()``.  The
+  compiled core runs the virtual-PC walk and the shared
+  multiperspective perceptron without re-entering Python, so the gate
+  is ≥ 5x (default).
 
 * **Fused campaign** — a Figure-1-style ablation campaign (BLBP feature
   toggles plus an ITTAGE useful-bit reset-period sweep) executed two
@@ -20,7 +25,7 @@ Two measurements, two CI gates, one results file:
   streams, folded index/tag columns, RAS outcomes) once instead of
   once per lane.  Gate: fused ≥ 1.5x per-cell (default).
 
-Both arms of both measurements must produce identical results — the
+Both arms of every measurement must produce identical results — the
 assertion runs every pass, because a throughput gate is worthless if
 the fast path drifts.  The per-cell arm's warm-cache timing (shared
 precompute already resident, as in a single-process unfused run) is
@@ -43,6 +48,7 @@ from pathlib import Path
 from repro.common.envinfo import environment_metadata
 from repro.core import BLBP, BLBPConfig
 from repro.predictors.ittage import ITTAGE, ITTAGEConfig
+from repro.predictors.vpc import VPCPredictor
 from repro.sim import kernel
 from repro.sim.engine import simulate, simulate_many
 
@@ -92,19 +98,20 @@ def _suite_traces(scale: float, stride: int, min_traces: int = 4):
     return [entry.generate() for entry in entries]
 
 
-def measure_ittage(traces, repeats: int) -> dict:
-    """Best-of-``repeats`` for scalar vs columnar ITTAGE replay."""
+def measure_kernel(name: str, factory, traces, repeats: int) -> dict:
+    """Best-of-``repeats`` for scalar vs columnar replay of one
+    predictor; both arms must give identical results on every pass."""
 
     def scalar_pass():
         started = time.perf_counter()
-        results = [simulate(ITTAGE(), trace) for trace in traces]
+        results = [simulate(factory(), trace) for trace in traces]
         return time.perf_counter() - started, results
 
     def columnar_pass():
         kernel._SHARED_CACHE.clear()
         started = time.perf_counter()
         results = [
-            simulate(ITTAGE(), trace, backend="columnar")
+            simulate(factory(), trace, backend="columnar")
             for trace in traces
         ]
         return time.perf_counter() - started, results
@@ -117,7 +124,7 @@ def measure_ittage(traces, repeats: int) -> dict:
         ):
             elapsed, results = one_pass()
             if results != expected:
-                raise AssertionError(f"ITTAGE {arm} results drifted")
+                raise AssertionError(f"{name} {arm} results drifted")
             best[arm] = (
                 elapsed if best[arm] is None else min(best[arm], elapsed)
             )
@@ -204,7 +211,7 @@ def measure_fused(traces, repeats: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="columnar ITTAGE + fused-campaign throughput gates"
+        description="columnar ITTAGE/VPC + fused-campaign throughput gates"
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -215,11 +222,15 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument(
         "--gate", action="store_true",
-        help="exit non-zero unless both speedup gates clear",
+        help="exit non-zero unless every speedup gate clears",
     )
     parser.add_argument(
         "--min-ittage-speedup", type=float, default=3.0,
         help="minimum columnar-ITTAGE speedup over scalar (default 3)",
+    )
+    parser.add_argument(
+        "--min-vpc-speedup", type=float, default=5.0,
+        help="minimum columnar-VPC speedup over scalar (default 5)",
     )
     parser.add_argument(
         "--min-fused-speedup", type=float, default=1.5,
@@ -238,17 +249,23 @@ def main(argv=None) -> int:
     traces = _suite_traces(scale, stride)
     records = sum(len(trace) for trace in traces)
 
-    ittage = measure_ittage(traces, repeats)
-    print(
-        f"ITTAGE scalar    {ittage['scalar_records_per_sec']:>9,} rec/s  "
-        f"({ittage['scalar_seconds']:.2f}s, {records:,} records)"
-    )
-    print(
-        f"ITTAGE columnar  {ittage['columnar_records_per_sec']:>9,} rec/s  "
-        f"({ittage['columnar_seconds']:.2f}s)  "
-        f"{ittage['speedup']:.2f}x"
-        + (f"  (gate: ≥{args.min_ittage_speedup}x)" if args.gate else "")
-    )
+    kernels = {
+        "ittage": measure_kernel("ITTAGE", ITTAGE, traces, repeats),
+        "vpc": measure_kernel("VPC", VPCPredictor, traces, repeats),
+    }
+    gates = {"ittage": args.min_ittage_speedup, "vpc": args.min_vpc_speedup}
+    for key, measured in kernels.items():
+        label = key.upper()
+        print(
+            f"{label:<6} scalar    {measured['scalar_records_per_sec']:>9,} "
+            f"rec/s  ({measured['scalar_seconds']:.2f}s, {records:,} records)"
+        )
+        print(
+            f"{label:<6} columnar  {measured['columnar_records_per_sec']:>9,} "
+            f"rec/s  ({measured['columnar_seconds']:.2f}s)  "
+            f"{measured['speedup']:.2f}x"
+            + (f"  (gate: ≥{gates[key]}x)" if args.gate else "")
+        )
 
     fused = measure_fused(traces, repeats)
     print(
@@ -272,7 +289,7 @@ def main(argv=None) -> int:
         "scale": scale,
         "stride": stride,
         "repeats": repeats,
-        "ittage": ittage,
+        **kernels,
         "fused_campaign": fused,
     }
     if args.out:
@@ -282,13 +299,14 @@ def main(argv=None) -> int:
         print(f"wrote {out_path}")
 
     failed = False
-    if args.gate and ittage["speedup"] < args.min_ittage_speedup:
-        print(
-            f"FAIL: columnar ITTAGE speedup {ittage['speedup']:.2f}x "
-            f"below {args.min_ittage_speedup}x gate",
-            file=sys.stderr,
-        )
-        failed = True
+    for key, measured in kernels.items():
+        if args.gate and measured["speedup"] < gates[key]:
+            print(
+                f"FAIL: columnar {key.upper()} speedup "
+                f"{measured['speedup']:.2f}x below {gates[key]}x gate",
+                file=sys.stderr,
+            )
+            failed = True
     if args.gate and (
         fused["speedup_vs_percell_cold"] < args.min_fused_speedup
     ):

@@ -137,6 +137,10 @@ class PathHistory(Stateful):
         )
         entries = state["entries"]
         require(len(entries) <= self.depth, "too many path entries")
+        require(
+            all(0 <= entry < 1 << self.bits_per_pc for entry in entries),
+            "path entry out of range",
+        )
         self._entries = [int(entry) for entry in entries]
 
 

@@ -60,9 +60,17 @@ class MultiperspectivePerceptron(ConditionalPredictor):
     ) -> None:
         if not features:
             raise ValueError("need at least one feature")
-        for kind, _ in features:
+        for kind, parameter in features:
             if kind not in ("bias", "ghist", "path", "local"):
                 raise ValueError(f"unknown feature kind {kind!r}")
+            if (kind == "ghist" and parameter < 0) or (
+                kind == "path" and parameter < 1
+            ):
+                raise ValueError(
+                    f"bad {kind} feature parameter {parameter!r}"
+                )
+        if index_bits < 1:
+            raise ValueError(f"index_bits must be >= 1, got {index_bits}")
         self.features = tuple(features)
         self.index_bits = index_bits
         self.weight_bits = weight_bits

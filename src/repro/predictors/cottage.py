@@ -9,7 +9,10 @@ composition serves two roles in the reproduction:
   prediction problems at once;
 * a second conditional substrate for VPC-style experiments (TAGE is a
   :class:`~repro.cond.base.ConditionalPredictor`, so
-  ``VPCPredictor(conditional=TAGE())`` also works).
+  ``VPCPredictor(conditional=TAGE())`` also works — on the scalar
+  loop only: the VPC columnar kernel replays exactly the default
+  multiperspective perceptron, so ``backend="columnar"`` warns and
+  falls back, and ``"columnar-strict"`` raises).
 
 The indirect half retires every branch into ITTAGE's history, and the
 conditional half tracks its own accuracy like VPC does, so both sides

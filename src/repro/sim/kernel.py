@@ -57,6 +57,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common.hashing import mix_pc, stable_hash64
+from repro.cond.mpp import MultiperspectivePerceptron
 from repro.core.blbp import BLBP
 from repro.core.ibtb import IndirectBTB
 from repro.predictors.ittage import ITTAGE
@@ -95,7 +96,7 @@ def columnar_support(predictor: object) -> Tuple[bool, str]:
     if kind is ITTAGE:
         return True, "ITTAGE columnar kernel (repro.sim.kernel_ittage)"
     if kind is VPCPredictor:
-        return True, "VPC columnar kernel (repro.sim.kernel_vpc)"
+        return _vpc_support(predictor)
     supported_names = ", ".join(t.__name__ for t in _COLUMNAR_TYPES)
     for base in _COLUMNAR_TYPES:
         if isinstance(predictor, base):
@@ -111,6 +112,32 @@ def columnar_support(predictor: object) -> Tuple[bool, str]:
         f"types: {supported_names}).  Use the scalar backend for this "
         f"predictor."
     )
+
+
+def _vpc_support(predictor: VPCPredictor) -> Tuple[bool, str]:
+    """VPC replays its conditional component inside the compiled core
+    (and the numpy replay keeps the same rule, so the host's compiler
+    never changes which path runs): only the default
+    :class:`MultiperspectivePerceptron`, with local histories that fit
+    the core's 64-bit registers, qualifies."""
+    conditional = predictor.conditional
+    if type(conditional) is not MultiperspectivePerceptron:
+        return False, (
+            f"VPCPredictor's conditional component is "
+            f"{type(conditional).__name__}, but the VPC columnar kernel "
+            f"replays exactly MultiperspectivePerceptron (the default "
+            f"conditional) in its compiled core.  Use the scalar backend "
+            f"for this conditional."
+        )
+    local_bits = conditional._local.history_bits
+    if local_bits > 64:
+        return False, (
+            f"VPCPredictor's MultiperspectivePerceptron keeps "
+            f"{local_bits}-bit local histories, but the VPC columnar "
+            f"kernel holds at most 64.  Use the scalar backend for this "
+            f"geometry."
+        )
+    return True, "VPC columnar kernel (repro.sim.kernel_vpc)"
 
 
 def columnar_supported(predictor: object) -> bool:

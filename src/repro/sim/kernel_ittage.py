@@ -28,7 +28,8 @@ sequential and runs either as a Python loop over the precomputed index
 planes or through the compiled ``ittage_replay`` core in
 :mod:`repro.sim.native` (the allocation tie-breaker calls back into the
 predictor's own ``numpy`` Generator, so the RNG stream is shared
-bit-for-bit between all three paths).
+bit-for-bit between all three paths; an exception raised by a draw
+stops the compiled core and is re-raised, never swallowed).
 """
 
 from __future__ import annotations
@@ -494,8 +495,21 @@ def _replay(predictor: ITTAGE, prep: dict) -> None:
     if branch_count:
         fn = native.load("ittage_replay")
         if fn is not None:
-            rng_callback = native.RNG_CALLBACK(predictor._rng.random)
-            state = np.asarray([use_alt, updates], dtype=np.int64)
+            state = np.asarray([use_alt, updates, 0], dtype=np.int64)
+            failures: List[BaseException] = []
+
+            def draw() -> float:
+                # ctypes would print and swallow an exception raised
+                # here; keep the first, flag the core to stop, and
+                # re-raise it once the call returns.
+                try:
+                    return predictor._rng.random()
+                except BaseException as exc:
+                    failures.append(exc)
+                    state[2] = 1
+                    return 0.0
+
+            rng_callback = native.RNG_CALLBACK(draw)
             fn(
                 branch_count,
                 num_tagged,
@@ -523,6 +537,8 @@ def _replay(predictor: ITTAGE, prep: dict) -> None:
                 predictions.ctypes.data,
                 valid_out.ctypes.data,
             )
+            if failures:
+                raise failures[0]
             use_alt = int(state[0])
             updates = int(state[1])
         else:

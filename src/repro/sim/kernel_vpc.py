@@ -12,12 +12,18 @@ What remains sequential is genuinely architectural: the direct-mapped
 BTB (tags/targets/recency ticks) and the shared conditional predictor,
 which VPC consults per virtual branch *and* trains on every real
 conditional.  The replay therefore walks a merged event stream —
-conditionals and indirect branches in record order — either as a
-Python loop or through the compiled ``vpc_replay`` core in
-:mod:`repro.sim.native`; the conditional predictor is an arbitrary
-Python object either way (the C core reaches it through ctypes
-callbacks in exactly the scalar call sequence), so any conditional
-component works unchanged.
+conditionals and indirect branches in record order.  The compiled
+``vpc_replay`` core in :mod:`repro.sim.native` runs that walk with the
+multiperspective perceptron ported into it: the perceptron's weights,
+histories and threshold are staged into arrays before the call and
+written back after, so the replay never re-enters Python and
+``state_dict()`` comes back byte-identical to the scalar loop's.
+Without a C compiler the same walk runs as a Python loop calling the
+perceptron's own methods.  Either way the kernel accepts only a
+conditional that is exactly
+:class:`~repro.cond.mpp.MultiperspectivePerceptron` (see
+:func:`repro.sim.kernel.columnar_support`); VPC over any other
+conditional runs on the scalar loop.
 """
 
 from __future__ import annotations
@@ -261,10 +267,104 @@ def _replay_python(
     return clock, cond_count, cond_misp
 
 
+#: Feature kind codes of the compiled multiperspective perceptron.
+_FEATURE_CODES = {"bias": 0, "ghist": 1, "path": 2, "local": 3}
+
+
+def _replay_compiled(
+    fn,
+    predictor: VPCPredictor,
+    prep: dict,
+    btb_tags: np.ndarray,
+    btb_targets: np.ndarray,
+    btb_ticks: np.ndarray,
+    counters: np.ndarray,
+) -> None:
+    """Run ``vpc_replay`` with the shared multiperspective perceptron
+    staged into arrays, then write its state back.
+
+    The BTB arrays and ``counters`` ([clock, conditional count,
+    conditional mispredictions]) are updated in place.
+    """
+    cfg = predictor.config
+    mpp = predictor.conditional
+    ghist = mpp._ghist
+    path = mpp._path
+    local = mpp._local
+    threshold = mpp._threshold
+    features = len(mpp.features)
+    rows = 1 << mpp.index_bits
+
+    specs = np.asarray(
+        [(_FEATURE_CODES[kind], param) for kind, param in mpp.features],
+        dtype=np.int64,
+    )
+    weights = np.stack(mpp._tables)
+    words = (ghist.capacity + 63) // 64
+    ghist_words = np.frombuffer(
+        ghist.value().to_bytes(8 * words, "little"), dtype="<u8"
+    ).astype(np.uint64)
+    path_entries = np.zeros(path.depth, dtype=np.int64)
+    path_entries[: len(path._entries)] = path._entries
+    local_table = np.asarray(local._table, dtype=np.uint64)
+    mpp_state = np.asarray(
+        [len(path._entries), threshold.theta, threshold._counter],
+        dtype=np.int64,
+    )
+
+    events = len(prep["kinds"])
+    branches = len(prep["targets"])
+    table = prep["vpcas"].size
+    entries = cfg.btb_entries
+    ptr = native.pointer
+    fn(
+        events,
+        ptr("kinds", prep["kinds"], np.uint8, events),
+        ptr("ev_a", prep["ev_a"], np.uint64, events),
+        ptr("ev_taken", prep["ev_taken"], np.uint8, events),
+        ptr("targets", prep["targets"], np.uint64, branches),
+        cfg.max_iterations,
+        1 if cfg.fallback_to_first else 0,
+        ptr("vpcas", prep["vpcas"], np.uint64, table),
+        ptr("slots", prep["slots"], np.int64, table),
+        ptr("vtags", prep["vtags"], np.int64, table),
+        ptr("btb_tags", btb_tags, np.int64, entries),
+        ptr("btb_targets", btb_targets, np.uint64, entries),
+        ptr("btb_ticks", btb_ticks, np.int64, entries),
+        ptr("counters", counters, np.int64, 3),
+        features,
+        ptr("specs", specs, np.int64, 2 * features),
+        mpp.index_bits,
+        mpp._weight_max,
+        mpp._weight_min,
+        ptr("weights", weights, np.int8, features * rows),
+        ptr("ghist", ghist_words, np.uint64, words),
+        words,
+        ghist.capacity,
+        ptr("path", path_entries, np.int64, path.depth),
+        path.depth,
+        path.bits_per_pc,
+        ptr("local", local_table, np.uint64, local.num_entries),
+        local.num_entries,
+        local.history_bits,
+        ptr("mpp_state", mpp_state, np.int64, 3),
+        threshold._max,
+        threshold._min,
+        ptr("predictions", prep["predictions"], np.uint64, branches),
+        ptr("valid", prep["valid"], np.uint8, branches),
+    )
+
+    mpp._tables = list(weights)
+    ghist._bits = int.from_bytes(ghist_words.astype("<u8").tobytes(), "little")
+    path._entries = path_entries[: int(mpp_state[0])].tolist()
+    local._table = local_table.tolist()
+    threshold.theta = int(mpp_state[1])
+    threshold._counter = int(mpp_state[2])
+
+
 def _replay(predictor: VPCPredictor, prep: dict) -> None:
     cfg = predictor.config
     btb = predictor._btb
-    conditional = predictor.conditional
     btb_tags = btb._tags.copy()
     btb_targets = btb._targets.copy()
     btb_ticks = btb._ticks.copy()
@@ -278,41 +378,11 @@ def _replay(predictor: VPCPredictor, prep: dict) -> None:
             counters = np.asarray(
                 [clock, cond_count, cond_misp], dtype=np.int64
             )
-            predict_cb = native.COND_PREDICT(
-                lambda pc: 1 if conditional.predict(int(pc)) else 0
+            _replay_compiled(
+                fn, predictor, prep, btb_tags, btb_targets, btb_ticks,
+                counters,
             )
-            train_cb = native.COND_TRAIN(
-                lambda vpca, taken: conditional.train_weights(
-                    int(vpca), taken=bool(taken)
-                )
-            )
-            update_cb = native.COND_TRAIN(
-                lambda pc, taken: conditional.update(int(pc), bool(taken))
-            )
-            fn(
-                len(prep["kinds"]),
-                prep["kinds"].ctypes.data,
-                prep["ev_a"].ctypes.data,
-                prep["ev_taken"].ctypes.data,
-                prep["targets"].ctypes.data,
-                cfg.max_iterations,
-                1 if cfg.fallback_to_first else 0,
-                prep["vpcas"].ctypes.data,
-                prep["slots"].ctypes.data,
-                prep["vtags"].ctypes.data,
-                btb_tags.ctypes.data,
-                btb_targets.ctypes.data,
-                btb_ticks.ctypes.data,
-                counters.ctypes.data,
-                predict_cb,
-                train_cb,
-                update_cb,
-                prep["predictions"].ctypes.data,
-                prep["valid"].ctypes.data,
-            )
-            clock = int(counters[0])
-            cond_count = int(counters[1])
-            cond_misp = int(counters[2])
+            clock, cond_count, cond_misp = (int(v) for v in counters)
         else:
             branch_count = len(prep["targets"])
             pred_list = [0] * branch_count
@@ -336,7 +406,7 @@ def _replay(predictor: VPCPredictor, prep: dict) -> None:
                 clock,
                 cond_count,
                 cond_misp,
-                conditional,
+                predictor.conditional,
                 pred_list,
                 valid_list,
             )

@@ -28,8 +28,9 @@ Four entry points live in one shared library:
     bit-identical with the scalar path.
 ``vpc_replay``
     VPC's virtual-PC iteration over a precomputed vpca/slot/tag table,
-    with callbacks into the (arbitrary, Python-side) shared conditional
-    predictor.
+    together with the multiperspective perceptron it shares with the
+    real conditional branches (weights, global/path/local histories and
+    adaptive threshold), so a VPC replay never re-enters Python.
 
 The source is compiled on first use with the system C compiler at
 ``-O3`` (the dot-product and update inner loops are written so the
@@ -43,6 +44,10 @@ one node) race benignly: each compiles into a private temp file and
 atomically publishes with ``os.replace``, and a builder whose own
 compile fails re-checks for a concurrently published library before
 giving up.
+
+Arrays reach the cores as raw pointers; :func:`pointer` checks each
+one's dtype, layout and length first, so a mismatch raises
+``ValueError`` instead of letting C read or write out of bounds.
 """
 
 from __future__ import annotations
@@ -54,28 +59,24 @@ import subprocess
 import tempfile
 from typing import Dict, List, Optional
 
+import numpy as np
+
 __all__ = [
     "available",
     "load",
     "cache_dir",
     "RNG_CALLBACK",
-    "COND_PREDICT",
-    "COND_TRAIN",
+    "pointer",
 ]
 
-#: Callback signatures crossing the C boundary.  ITTAGE's allocation
-#: tie-breaker draws from the predictor's numpy Generator; VPC consults
-#: and trains its Python-side conditional predictor per event.
+#: The one callback crossing the C boundary: ITTAGE's allocation
+#: tie-breaker draws from the predictor's numpy Generator.
 RNG_CALLBACK = ctypes.CFUNCTYPE(ctypes.c_double)
-COND_PREDICT = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_uint64)
-COND_TRAIN = ctypes.CFUNCTYPE(None, ctypes.c_uint64, ctypes.c_int)
 
 _SOURCE = r"""
 #include <stdint.h>
 
 typedef double (*rng_fn)(void);
-typedef int (*cond_predict_fn)(uint64_t);
-typedef void (*cond_train_fn)(uint64_t, int);
 
 /* Retirement-order replay of the BLBP weight/θ recurrence.
  *
@@ -363,7 +364,9 @@ void blbp_replay_many(
  * meta-counter, usefulness and confidence updates, base-table
  * hysteresis, allocation with Seznec's geometric skew (drawing from
  * the predictor's own RNG through `rng` so the stream is shared with
- * the scalar path), and the periodic usefulness reset.
+ * the scalar path), and the periodic usefulness reset.  The caller's
+ * `rng` sets state[2] when it fails; the loop polls it after every
+ * draw and returns at once.
  */
 void ittage_replay(
     int64_t branches,
@@ -387,7 +390,7 @@ void ittage_replay(
     int64_t use_alt_min,
     int64_t use_alt_max,
     int64_t u_reset_period,
-    int64_t *state,            /* [use_alt, updates] in/out */
+    int64_t *state,            /* [use_alt, updates, abort] in/out */
     rng_fn rng,
     uint64_t *predictions,     /* (branches,) zero-initialised */
     uint8_t *valid_out)        /* (branches,) zero-initialised */
@@ -524,7 +527,15 @@ void ittage_replay(
                 if (second >= 0) {
                     int64_t candidate = second;
                     for (;;) {
-                        if (rng() < 0.5)
+                        const double draw = rng();
+                        if (state[2]) {
+                            /* The callback failed: stop here, and the
+                             * caller re-raises its exception. */
+                            state[0] = use_alt;
+                            state[1] = updates;
+                            return;
+                        }
+                        if (draw < 0.5)
                             break;
                         chosen = candidate;
                         candidate = -1;
@@ -558,15 +569,182 @@ void ittage_replay(
     state[1] = updates;
 }
 
+/* The multiperspective perceptron (repro.cond.mpp) that VPC shares
+ * with the real conditional branches, integer-for-integer: splitmix64
+ * PC mixing, fold_int of the global history (little-endian uint64
+ * words, bit 0 most recent) per ghist length, PathHistory.folded
+ * (entries most recent first; while fewer than `depth` exist the
+ * packed entries sit at lower bit positions), the local history at
+ * mix_pc(pc) % local_entries, saturating weights and the adaptive
+ * threshold.  Feature kind codes: 0 bias, 1 ghist, 2 path, 3 local.
+ */
+typedef struct {
+    int64_t features;
+    const int64_t *specs;      /* (features, 2): kind code, parameter */
+    int64_t index_bits;
+    int64_t rows;
+    int64_t weight_max;
+    int64_t weight_min;
+    int8_t *weights;           /* (features, rows) */
+    uint64_t *ghist;           /* (ghist_words,) */
+    int64_t ghist_words;
+    int64_t ghist_bits;
+    int64_t *path;             /* (path_depth,) most recent first */
+    int64_t path_depth;
+    int64_t path_count;
+    int64_t path_bits;
+    uint64_t *local;           /* (local_entries,) */
+    int64_t local_entries;
+    int64_t local_bits;
+    int64_t theta;
+    int64_t counter;
+    int64_t counter_max;
+    int64_t counter_min;
+} mpp_t;
+
+static inline uint64_t mix_pc(uint64_t pc)
+{
+    uint64_t v = (pc >> 2) + 0x9E3779B97F4A7C15ULL;
+    v ^= v >> 30;
+    v *= 0xBF58476D1CE4E5B9ULL;
+    v ^= v >> 27;
+    v *= 0x94D049BB133111EBULL;
+    v ^= v >> 31;
+    return v;
+}
+
+static inline uint64_t low_mask(int64_t bits)
+{
+    return bits >= 64 ? ~0ULL : (1ULL << bits) - 1;
+}
+
+/* fold_int(value, total, width) for a multi-word little-endian value. */
+static uint64_t fold_words(const uint64_t *words, int64_t nwords,
+                           int64_t total, int64_t width)
+{
+    uint64_t folded = 0;
+    for (int64_t offset = 0; offset < total; offset += width) {
+        const int64_t w = offset >> 6;
+        const int64_t shift = offset & 63;
+        uint64_t chunk = w < nwords ? words[w] >> shift : 0;
+        if (shift && w + 1 < nwords)
+            chunk |= words[w + 1] << (64 - shift);
+        const int64_t left = total - offset;
+        folded ^= chunk & low_mask(left < width ? left : width);
+    }
+    return folded;
+}
+
+/* PathHistory.folded(depth, width): XOR is linear, so each entry folds
+ * in on its own from its bit position in the packed value. */
+static uint64_t fold_path(const mpp_t *m, int64_t depth)
+{
+    const int64_t width = m->index_bits;
+    const uint64_t mask = low_mask(width);
+    const int64_t n = m->path_count < depth ? m->path_count : depth;
+    uint64_t folded = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const int64_t position = (n - 1 - i) * m->path_bits;
+        uint64_t part = (uint64_t)m->path[i] << (position % width);
+        while (part) {
+            folded ^= part & mask;
+            part >>= width;
+        }
+    }
+    return folded;
+}
+
+/* MultiperspectivePerceptron._indices and _sum. */
+static int64_t mpp_sum(const mpp_t *m, uint64_t pc, int64_t *idx)
+{
+    const uint64_t h = mix_pc(pc);
+    const uint64_t mask = low_mask(m->index_bits);
+    int64_t total = 0;
+    for (int64_t f = 0; f < m->features; ++f) {
+        const int64_t kind = m->specs[2 * f];
+        const int64_t parameter = m->specs[2 * f + 1];
+        uint64_t folded = 0;
+        if (kind == 1) {
+            folded = fold_words(m->ghist, m->ghist_words, parameter,
+                                m->index_bits);
+        } else if (kind == 2) {
+            folded = fold_path(m, parameter);
+        } else if (kind == 3) {
+            const uint64_t local = m->local[h % (uint64_t)m->local_entries];
+            folded = fold_words(&local, 1, m->local_bits, m->index_bits);
+        }
+        const int64_t shift = f + 3;
+        const uint64_t mixed = shift >= 64 ? 0 : h >> shift;
+        idx[f] = (int64_t)((h ^ mixed ^ folded) & mask);
+        total += m->weights[f * m->rows + idx[f]];
+    }
+    return total;
+}
+
+/* MultiperspectivePerceptron._train given the rows and sum it reads. */
+static void mpp_train(mpp_t *m, const int64_t *idx, int64_t total, int taken)
+{
+    const int mispredicted = (total >= 0) != (taken != 0);
+    const int below = (total >= 0 ? total : -total) < m->theta;
+    if (mispredicted || below) {
+        for (int64_t f = 0; f < m->features; ++f) {
+            int8_t *w = m->weights + f * m->rows + idx[f];
+            if (taken && *w < m->weight_max)
+                *w += 1;
+            else if (!taken && *w > m->weight_min)
+                *w -= 1;
+        }
+    }
+    if (mispredicted) {
+        m->counter += 1;
+        if (m->counter >= m->counter_max) {
+            m->counter = 0;
+            m->theta += 1;
+        }
+    } else if (below) {
+        m->counter -= 1;
+        if (m->counter <= m->counter_min) {
+            m->counter = 0;
+            if (m->theta > 1)
+                m->theta -= 1;
+        }
+    }
+}
+
+/* train_weights(pc, taken): train without advancing any history. */
+static void mpp_train_weights(mpp_t *m, uint64_t pc, int taken, int64_t *idx)
+{
+    mpp_train(m, idx, mpp_sum(m, pc, idx), taken);
+}
+
+/* The history half of update(pc, taken): global, path and local. */
+static void mpp_push(mpp_t *m, uint64_t pc, int taken)
+{
+    for (int64_t w = m->ghist_words - 1; w > 0; --w)
+        m->ghist[w] = (m->ghist[w] << 1) | (m->ghist[w - 1] >> 63);
+    m->ghist[0] = (m->ghist[0] << 1) | (uint64_t)(taken != 0);
+    m->ghist[m->ghist_words - 1] &=
+        low_mask(m->ghist_bits - 64 * (m->ghist_words - 1));
+
+    if (m->path_count < m->path_depth)
+        m->path_count += 1;
+    for (int64_t i = m->path_count - 1; i > 0; --i)
+        m->path[i] = m->path[i - 1];
+    m->path[0] = (int64_t)((pc >> 2) & low_mask(m->path_bits));
+
+    uint64_t *local = m->local + mix_pc(pc) % (uint64_t)m->local_entries;
+    *local = ((*local << 1) | (uint64_t)(taken != 0))
+             & low_mask(m->local_bits);
+}
+
 /* Event-order VPC replay over a precomputed vpca/slot/tag table.
  *
- * Events interleave real conditionals (kind 0: consult + update the
+ * Events interleave real conditionals (kind 0: predict + update the
  * shared conditional predictor, book-keeping its accuracy) with
  * indirect branches (kind 1: the virtual-PC iteration).  All hashing
  * is precomputed per (static pc, iteration); the BTB's direct-mapped
- * arrays are mutated in place.  The conditional predictor is an
- * arbitrary Python object reached through the three callbacks, called
- * in exactly the scalar sequence.
+ * arrays and the multiperspective perceptron's tables, histories and
+ * threshold are mutated in place, in exactly the scalar call sequence.
  */
 void vpc_replay(
     int64_t events,
@@ -583,25 +761,53 @@ void vpc_replay(
     uint64_t *btb_targets,
     int64_t *btb_ticks,
     int64_t *counters,         /* [clock, cond_count, cond_misp] in/out */
-    cond_predict_fn cond_predict,
-    cond_train_fn cond_train,
-    cond_train_fn cond_update,
+    int64_t features,
+    const int64_t *specs,      /* (features, 2) kind code, parameter */
+    int64_t index_bits,
+    int64_t weight_max,
+    int64_t weight_min,
+    int8_t *weights,           /* (features, 1 << index_bits) */
+    uint64_t *ghist,           /* (ghist_words,) */
+    int64_t ghist_words,
+    int64_t ghist_bits,
+    int64_t *path,             /* (path_depth,) */
+    int64_t path_depth,
+    int64_t path_bits,
+    uint64_t *local,           /* (local_entries,) */
+    int64_t local_entries,
+    int64_t local_bits,
+    int64_t *mpp_state,        /* [path_count, theta, counter] in/out */
+    int64_t counter_max,
+    int64_t counter_min,
     uint64_t *predictions,     /* (branches,) zero-initialised */
     uint8_t *valid_out)        /* (branches,) zero-initialised */
 {
+    mpp_t m = {
+        features, specs, index_bits, (int64_t)1 << index_bits,
+        weight_max, weight_min, weights,
+        ghist, ghist_words, ghist_bits,
+        path, path_depth, mpp_state[0], path_bits,
+        local, local_entries, local_bits,
+        mpp_state[1], mpp_state[2], counter_max, counter_min,
+    };
+    int64_t idx[features];
     int64_t clock = counters[0];
     int64_t cond_count = counters[1];
     int64_t cond_misp = counters[2];
     int64_t branch = 0;
     for (int64_t e = 0; e < events; ++e) {
         if (kinds[e] == 0) {
+            /* predict then update: nothing changes in between, so the
+             * rows and sum the prediction read are the ones update
+             * trains on. */
             const uint64_t pc = ev_a[e];
-            const int taken = ev_taken[e];
-            const int predicted = cond_predict(pc);
+            const int taken = ev_taken[e] != 0;
+            const int64_t total = mpp_sum(&m, pc, idx);
             cond_count += 1;
-            if ((predicted != 0) != (taken != 0))
+            if ((total >= 0) != taken)
                 cond_misp += 1;
-            cond_update(pc, taken);
+            mpp_train(&m, idx, total, taken);
+            mpp_push(&m, pc, taken);
             continue;
         }
 
@@ -617,7 +823,7 @@ void vpc_replay(
             if (btb_tags[s] != vtags[base + it])
                 break;
             visited += 1;
-            if (cond_predict(vpcas[base + it])) {
+            if (mpp_sum(&m, vpcas[base + it], idx) >= 0) {
                 pred = btb_targets[s];
                 has_pred = 1;
                 hit_it = it;
@@ -637,7 +843,7 @@ void vpc_replay(
 
         if (has_pred && pred == target) {
             for (int64_t it = 0; it < visited; ++it)
-                cond_train(vpcas[base + it], it == hit_it);
+                mpp_train_weights(&m, vpcas[base + it], it == hit_it, idx);
             const int64_t s = slots[base + hit_it];
             if (btb_tags[s] == vtags[base + hit_it]) {
                 clock += 1;
@@ -657,7 +863,7 @@ void vpc_replay(
             for (int64_t it = 0; it <= found; ++it) {
                 const int64_t s = slots[base + it];
                 if (btb_tags[s] == vtags[base + it] || it == found)
-                    cond_train(vpcas[base + it], it == found);
+                    mpp_train_weights(&m, vpcas[base + it], it == found, idx);
             }
             const int64_t s = slots[base + found];
             if (btb_tags[s] == vtags[base + found]) {
@@ -687,7 +893,7 @@ void vpc_replay(
         }
         for (int64_t it = 0; it < visited; ++it) {
             if (it != victim)
-                cond_train(vpcas[base + it], 0);
+                mpp_train_weights(&m, vpcas[base + it], 0, idx);
         }
         {
             const int64_t s = slots[base + victim];
@@ -696,11 +902,14 @@ void vpc_replay(
             btb_targets[s] = target;
             btb_ticks[s] = clock;
         }
-        cond_train(vpcas[base + victim], 1);
+        mpp_train_weights(&m, vpcas[base + victim], 1, idx);
     }
     counters[0] = clock;
     counters[1] = cond_count;
     counters[2] = cond_misp;
+    mpp_state[0] = m.path_count;
+    mpp_state[1] = m.theta;
+    mpp_state[2] = m.counter;
 }
 """
 
@@ -745,7 +954,7 @@ _SIGNATURES: Dict[str, tuple] = {
             _PTR, _PTR, _PTR, _PTR, _PTR,   # tags, targets, ctr, useful, valid
             _PTR, _PTR, _PTR,               # base targets/ctr/valid
             _I64, _I64, _I64, _I64, _I64,   # conf/useful/alt bounds, u-reset
-            _PTR,                           # state [use_alt, updates]
+            _PTR,                           # state [use_alt, updates, abort]
             RNG_CALLBACK,                   # allocation tie-breaker
             _PTR, _PTR,                     # predictions, valid_out
         ],
@@ -759,7 +968,13 @@ _SIGNATURES: Dict[str, tuple] = {
             _PTR, _PTR, _PTR,               # vpcas, slots, vtags
             _PTR, _PTR, _PTR,               # btb tags/targets/ticks
             _PTR,                           # counters [clock, count, misp]
-            COND_PREDICT, COND_TRAIN, COND_TRAIN,
+            _I64, _PTR, _I64,               # features, specs, index bits
+            _I64, _I64,                     # weight max, weight min
+            _PTR,                           # weights
+            _PTR, _I64, _I64,               # ghist words, word count, bits
+            _PTR, _I64, _I64,               # path entries, depth, bits per pc
+            _PTR, _I64, _I64,               # local table, entries, bits
+            _PTR, _I64, _I64,               # [path n, θ, counter], cmax, cmin
             _PTR, _PTR,                     # predictions, valid_out
         ],
     ),
@@ -768,6 +983,30 @@ _SIGNATURES: Dict[str, tuple] = {
 _lib: Optional[ctypes.CDLL] = None
 _fns: Dict[str, object] = {}
 _attempted = False
+
+
+def pointer(name: str, array: object, dtype: type, length: int) -> int:
+    """The data pointer of ``array`` for a compiled core.
+
+    Raises ``ValueError`` naming the argument unless ``array`` is a
+    C-contiguous numpy array of exactly ``dtype`` holding ``length``
+    elements in all.
+    """
+    if not isinstance(array, np.ndarray):
+        raise ValueError(
+            f"{name}: expected a numpy array, got {type(array).__name__}"
+        )
+    if array.dtype != np.dtype(dtype):
+        raise ValueError(
+            f"{name}: expected dtype {np.dtype(dtype)}, got {array.dtype}"
+        )
+    if not array.flags.c_contiguous:
+        raise ValueError(f"{name}: array is not C-contiguous")
+    if array.size != length:
+        raise ValueError(
+            f"{name}: expected {length} elements, got {array.size}"
+        )
+    return array.ctypes.data
 
 
 def cache_dir() -> str:

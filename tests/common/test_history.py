@@ -79,6 +79,13 @@ class TestPathHistory:
         path.reset()
         assert path.folded(4, 8) == 0
 
+    def test_load_rejects_entry_wider_than_bits_per_pc(self):
+        path = PathHistory(4)
+        state = path.state_dict()
+        state["entries"] = [3, 1 << path.bits_per_pc]
+        with pytest.raises(ValueError, match="path entry out of range"):
+            path.load_state(state)
+
     def test_bad_depth_rejected(self):
         with pytest.raises(ValueError):
             PathHistory(0)

@@ -56,6 +56,18 @@ class TestMPP:
         with pytest.raises(ValueError):
             MultiperspectivePerceptron(features=())
 
+    @pytest.mark.parametrize(
+        "features, index_bits",
+        [
+            ((("path", 0),), 12),
+            ((("ghist", -1),), 12),
+            ((("bias", 0),), 0),
+        ],
+    )
+    def test_bad_geometry_rejected(self, features, index_bits):
+        with pytest.raises(ValueError):
+            MultiperspectivePerceptron(features=features, index_bits=index_bits)
+
     def test_storage_budget_counts_each_feature(self):
         predictor = MultiperspectivePerceptron()
         budget = predictor.storage_budget()

@@ -30,12 +30,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cond.mpp import MultiperspectivePerceptron
+from repro.cond.tage import TAGE
 from repro.core import BLBP
 from repro.core.config import BLBPConfig
 from repro.predictors.ittage import ITTAGE, ITTAGEConfig
 from repro.predictors.vpc import VPCConfig, VPCPredictor
 from repro.sim import kernel
-from repro.sim.engine import simulate
+from repro.sim.engine import ColumnarUnsupportedError, simulate
 from repro.sim.kernel import (
     columnar_support,
     columnar_supported,
@@ -252,6 +254,166 @@ class TestVPCLockstep:
         _assert_lockstep(_small_vpc, main, force_numpy, warm_trace=warm)
 
 
+#: Conditional PCs for the multiperspective-perceptron streams: enough
+#: of them to spread over the local table, some with high bits set.
+_MPP_COND_PCS = [0x900 + 4 * i for i in range(9)] + [
+    0xFFFF_FFFF_0000_1004,
+    0x7FFF_FFFF_FFFF_FFFC,
+    0x1234_5678_9ABC,
+]
+
+#: Non-default geometries for the VPC's multiperspective perceptron:
+#: a multi-word global history (> 256 bits), path folds past 64 packed
+#: bits (depth >= 11), index_bits 10 and 14, weight_bits 4 and 8.
+_MPP_GEOMETRIES = {
+    "default": {},
+    "long-ghist": dict(
+        features=(("bias", 0), ("ghist", 7), ("ghist", 300),
+                  ("path", 3), ("local", 0)),
+        index_bits=10,
+        weight_bits=4,
+    ),
+    "deep-path": dict(
+        features=(("bias", 0), ("ghist", 12), ("path", 11),
+                  ("path", 16), ("local", 0)),
+        index_bits=14,
+        weight_bits=8,
+    ),
+    "narrow": dict(
+        features=(("ghist", 0), ("local", 0), ("path", 2), ("bias", 0)),
+        index_bits=10,
+        weight_bits=4,
+        local_entries=8,
+        local_bits=64,
+    ),
+}
+
+
+def _mpp_vpc(geometry):
+    def make():
+        mpp = MultiperspectivePerceptron(**_MPP_GEOMETRIES[geometry])
+        return VPCPredictor(VPCConfig(btb_entries=64, max_iterations=6), mpp)
+
+    return make
+
+
+def _mpp_trace(name, events):
+    records = []
+    for is_cond, pc_index, target_index, taken in events:
+        if is_cond:
+            pc = _MPP_COND_PCS[pc_index % len(_MPP_COND_PCS)]
+            records.append(
+                BranchRecord(pc, BranchType.CONDITIONAL, taken, pc + 16,
+                             inst_gap=1)
+            )
+        else:
+            records.append(
+                BranchRecord(_PCS[pc_index % len(_PCS)],
+                             BranchType.INDIRECT_JUMP, True,
+                             _TARGETS[target_index], inst_gap=2)
+            )
+    return Trace.from_records(name, records)
+
+
+def _random_mpp_trace(seed, name, count, p_taken=0.6, p_cond=0.7):
+    rng = random.Random(seed)
+    return _mpp_trace(name, [
+        (rng.random() < p_cond, rng.randrange(64),
+         rng.randrange(len(_TARGETS)), rng.random() < p_taken)
+        for _ in range(count)
+    ])
+
+
+@st.composite
+def mpp_streams(draw):
+    """Conditional-heavy streams with a few indirect branches."""
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.booleans() | st.just(True),
+                st.integers(0, 63),
+                st.integers(0, len(_TARGETS) - 1),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=160,
+        )
+    )
+    return _mpp_trace("hyp-mpp", events)
+
+
+class TestVPCCompiledMPP:
+    """The VPC's multiperspective perceptron ported into ``vpc_replay``:
+    per-branch predictions and final state hash equal the scalar loop's
+    for every geometry, cold and warm, on both replay paths."""
+
+    @pytest.mark.parametrize("force_numpy", [False, True])
+    @pytest.mark.parametrize("geometry", sorted(_MPP_GEOMETRIES))
+    @settings(max_examples=15, deadline=None)
+    @given(trace=mpp_streams())
+    def test_cold_lockstep(self, geometry, force_numpy, trace):
+        _assert_lockstep(_mpp_vpc(geometry), trace, force_numpy)
+
+    @pytest.mark.parametrize("force_numpy", [False, True])
+    @pytest.mark.parametrize("geometry", sorted(_MPP_GEOMETRIES))
+    @settings(max_examples=8, deadline=None)
+    @given(trace=mpp_streams())
+    def test_warm_lockstep(self, geometry, force_numpy, trace):
+        """Resume from a warm ``load_state``: full multi-word history,
+        full path, saturated weights, a moved threshold."""
+        warm = _random_mpp_trace(21, "mpp-warm", 700)
+        _assert_lockstep(
+            _mpp_vpc(geometry), trace, force_numpy, warm_trace=warm
+        )
+
+    @pytest.mark.parametrize("force_numpy", [False, True])
+    def test_path_shorter_than_deepest_fold(self, force_numpy):
+        trace = _random_mpp_trace(3, "mpp-short", 12)
+        predictor = _mpp_vpc("default")()
+        with _replay_path(force_numpy):
+            simulate_columnar(predictor, trace)
+        assert 0 < len(predictor.conditional._path._entries) < 24
+        _assert_lockstep(_mpp_vpc("default"), trace, force_numpy)
+
+    @pytest.mark.parametrize("force_numpy", [False, True])
+    @pytest.mark.parametrize(
+        "counter, p_taken, p_cond", [(62, 0.0, 1.0), (-63, 0.6, 0.7)]
+    )
+    def test_threshold_counter_at_its_bounds(
+        self, counter, p_taken, p_cond, force_numpy
+    ):
+        """Resume one step from each end of the threshold counter's
+        range, so θ moves up (mispredictions: conditionals only, all
+        against the warm-up's bias) and down (training on correct
+        predictions) within the replay."""
+        warm = _mpp_vpc("default")()
+        simulate(warm, _random_mpp_trace(22, "mpp-theta-warm", 300))
+        state = warm.state_dict()
+        state["conditional"]["threshold"]["counter"] = counter
+
+        def make():
+            predictor = _mpp_vpc("default")()
+            predictor.load_state(state)
+            return predictor
+
+        trace = _random_mpp_trace(23, "mpp-theta", 200, p_taken, p_cond)
+        _assert_lockstep(make, trace, force_numpy)
+
+    def test_warm_state_is_really_warm(self):
+        """The warm-up stream reaches what the warm lockstep claims."""
+        predictor = _mpp_vpc("long-ghist")()
+        simulate(predictor, _random_mpp_trace(21, "mpp-warm", 700))
+        mpp = predictor.conditional
+        assert mpp._ghist.value() >> 256
+        assert len(mpp._path._entries) == mpp._path.depth
+        assert any(
+            int(table.max()) == mpp._weight_max
+            or int(table.min()) == mpp._weight_min
+            for table in mpp._tables
+        )
+        assert mpp._threshold.theta != int(2.14 * len(mpp.features) + 20)
+
+
 def _lanes():
     """A heterogeneous fused group: identical BLBP twins (groupable),
     BLBP geometry/feature variants, hierarchical IBTB, ITTAGE, VPC."""
@@ -375,6 +537,44 @@ class TestColumnarSupport:
         for name in ("BLBP", "ITTAGE", "VPCPredictor"):
             assert name in reason
 
+    def test_vpc_over_other_conditional_rejected_with_reason(self):
+        ok, reason = columnar_support(VPCPredictor(conditional=TAGE()))
+        assert not ok
+        assert "TAGE" in reason
+        assert "MultiperspectivePerceptron" in reason
+        assert "scalar" in reason
+
+    @pytest.mark.parametrize("force_numpy", [False, True])
+    def test_vpc_over_other_conditional_falls_back(self, force_numpy):
+        """``columnar`` warns with the reason and matches scalar exactly;
+        ``columnar-strict`` raises — whether or not C is available."""
+        trace = _random_trace(5, "vpc-tage", 150)
+        scalar = VPCPredictor(VPCConfig(btb_entries=128), TAGE())
+        expected = simulate(scalar, trace)
+        _, reason = columnar_support(VPCPredictor(conditional=TAGE()))
+        fallback = VPCPredictor(VPCConfig(btb_entries=128), TAGE())
+        with _replay_path(force_numpy):
+            with pytest.warns(RuntimeWarning) as caught:
+                result = simulate(fallback, trace, backend="columnar")
+            with pytest.raises(ColumnarUnsupportedError) as excinfo:
+                simulate(
+                    VPCPredictor(VPCConfig(btb_entries=128), TAGE()),
+                    trace,
+                    backend="columnar-strict",
+                )
+        assert any(reason in str(w.message) for w in caught)
+        assert result == expected
+        assert fallback.state_hash() == scalar.state_hash()
+        assert str(excinfo.value) == reason
+
+    def test_vpc_local_history_wider_than_core_rejected(self):
+        predictor = VPCPredictor(
+            conditional=MultiperspectivePerceptron(local_bits=65)
+        )
+        ok, reason = columnar_support(predictor)
+        assert not ok
+        assert "65-bit local histories" in reason
+
     def test_simulate_columnar_refuses_unsupported(self):
         class Tweaked(BLBP):
             pass
@@ -384,3 +584,21 @@ class TestColumnarSupport:
             simulate_columnar(Tweaked(), trace)
         with pytest.raises(TypeError, match="subclasses"):
             simulate_columnar_many([BLBP(), Tweaked()], trace)
+
+
+class _FailingRNG:
+    def random(self):
+        raise RuntimeError("rng failed")
+
+
+class TestITTAGECallbackFailure:
+    @pytest.mark.parametrize("force_numpy", [False, True])
+    def test_raising_rng_propagates(self, force_numpy):
+        """A draw that raises inside the compiled core's callback stops
+        the replay and surfaces, instead of a plausible wrong count."""
+        predictor = _small_ittage()
+        predictor._rng = _FailingRNG()
+        trace = _random_trace(9, "ittage-rng", 300)
+        with _replay_path(force_numpy):
+            with pytest.raises(RuntimeError, match="rng failed"):
+                simulate(predictor, trace, backend="columnar-strict")

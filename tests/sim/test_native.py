@@ -14,9 +14,13 @@ import os
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
+from repro.predictors.vpc import VPCConfig, VPCPredictor
 from repro.sim import native
+from repro.sim.engine import simulate
+from repro.workloads.suite import suite88_specs
 
 _ENTRY_POINTS = {
     "blbp_replay",
@@ -49,6 +53,37 @@ class TestLoader:
         monkeypatch.delenv("REPRO_COLUMNAR_COMPILED", raising=False)
         with pytest.raises(ValueError, match="unknown replay core"):
             native.load("nonexistent_replay")
+
+
+class TestArgumentChecks:
+    """Arrays are checked before their raw pointers reach a core."""
+
+    def test_pointer_accepts_matching_array(self):
+        array = np.zeros(4, dtype=np.int64)
+        assert native.pointer("a", array, np.int64, 4) == array.ctypes.data
+
+    @pytest.mark.parametrize(
+        "array, message",
+        [
+            (np.zeros(4, dtype=np.int32), "expected dtype int64"),
+            (np.zeros(8, dtype=np.int64)[::2], "not C-contiguous"),
+            (np.zeros(5, dtype=np.int64), "expected 4 elements"),
+            ([0, 0, 0, 0], "expected a numpy array"),
+        ],
+    )
+    def test_pointer_rejects_mismatch(self, array, message):
+        with pytest.raises(ValueError, match=message):
+            native.pointer("a", array, np.int64, 4)
+
+    def test_wrong_dtype_table_raises_before_vpc_replay(self):
+        if native.load("vpc_replay") is None:
+            pytest.skip("no C compiler in this environment")
+        predictor = VPCPredictor(VPCConfig(btb_entries=64))
+        tables = predictor.conditional._tables
+        tables[0] = tables[0].astype(np.int16)
+        trace = suite88_specs(0.05)[0].generate()
+        with pytest.raises(ValueError, match="weights: expected dtype int8"):
+            simulate(predictor, trace, backend="columnar-strict")
 
 
 class TestBuildRace:
