@@ -510,32 +510,36 @@ def _replay(predictor: ITTAGE, prep: dict) -> None:
                     return 0.0
 
             rng_callback = native.RNG_CALLBACK(draw)
+            ptr = native.pointer
+            plane = branch_count * num_tagged
+            table = num_tagged * entries
+            base = len(base_targets)
             fn(
                 branch_count,
                 num_tagged,
                 entries,
-                len(base_targets),
-                prep["idx"].ctypes.data,
-                prep["tag"].ctypes.data,
-                prep["base_idx"].ctypes.data,
-                prep["targets"].ctypes.data,
-                tab_tags.ctypes.data,
-                tab_targets.ctypes.data,
-                tab_ctr.ctypes.data,
-                tab_useful.ctypes.data,
-                tab_valid.ctypes.data,
-                base_targets.ctypes.data,
-                base_ctr.ctypes.data,
-                base_valid.ctypes.data,
+                base,
+                ptr("idx", prep["idx"], np.int64, plane),
+                ptr("tag", prep["tag"], np.int64, plane),
+                ptr("base_idx", prep["base_idx"], np.int64, branch_count),
+                ptr("targets", prep["targets"], np.uint64, branch_count),
+                ptr("tab_tags", tab_tags, np.int64, table),
+                ptr("tab_targets", tab_targets, np.uint64, table),
+                ptr("tab_ctr", tab_ctr, np.int8, table),
+                ptr("tab_useful", tab_useful, np.int8, table),
+                ptr("tab_valid", tab_valid, np.uint8, table),
+                ptr("base_targets", base_targets, np.uint64, base),
+                ptr("base_ctr", base_ctr, np.int8, base),
+                ptr("base_valid", base_valid, np.uint8, base),
                 predictor._conf_max,
                 predictor._useful_max,
                 predictor._use_alt_min,
                 predictor._use_alt_max,
                 cfg.u_reset_period,
-                state.ctypes.data,
+                ptr("state", state, np.int64, 3),
                 rng_callback,
-                predictions.ctypes.data,
-                valid_out.ctypes.data,
+                ptr("predictions", predictions, np.uint64, branch_count),
+                ptr("valid", valid_out, np.uint8, branch_count),
             )
             if failures:
                 raise failures[0]

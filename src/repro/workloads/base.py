@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List
 
 import numpy as np
 
@@ -26,8 +26,21 @@ from repro.trace.stream import Trace
 TEXT_BASE = 0x0000_0000_0040_0000
 
 
+_CONDITIONAL = int(BranchType.CONDITIONAL)
+_DIRECT_JUMP = int(BranchType.DIRECT_JUMP)
+_DIRECT_CALL = int(BranchType.DIRECT_CALL)
+_INDIRECT_JUMP = int(BranchType.INDIRECT_JUMP)
+_INDIRECT_CALL = int(BranchType.INDIRECT_CALL)
+_RETURN = int(BranchType.RETURN)
+
+
 class TraceBuilder:
-    """Column-wise accumulator for branch records."""
+    """Column-wise accumulator for branch records.
+
+    The kind-specific appends are the hot path of every generator, so
+    each appends its integer type code straight to the columns rather
+    than going through :meth:`branch`.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -54,27 +67,59 @@ class TraceBuilder:
 
     def conditional(self, pc: int, taken: bool, target: int, gap: int = 0) -> None:
         """Append a conditional branch."""
-        self.branch(pc, BranchType.CONDITIONAL, taken, target, gap)
+        self._pcs.append(pc)
+        self._types.append(_CONDITIONAL)
+        self._takens.append(taken)
+        self._targets.append(target)
+        self._gaps.append(gap)
 
     def indirect_call(self, pc: int, target: int, gap: int = 0) -> None:
         """Append an indirect call."""
-        self.branch(pc, BranchType.INDIRECT_CALL, True, target, gap)
+        self._pcs.append(pc)
+        self._types.append(_INDIRECT_CALL)
+        self._takens.append(True)
+        self._targets.append(target)
+        self._gaps.append(gap)
 
     def indirect_jump(self, pc: int, target: int, gap: int = 0) -> None:
         """Append an indirect jump."""
-        self.branch(pc, BranchType.INDIRECT_JUMP, True, target, gap)
+        self._pcs.append(pc)
+        self._types.append(_INDIRECT_JUMP)
+        self._takens.append(True)
+        self._targets.append(target)
+        self._gaps.append(gap)
 
     def direct_call(self, pc: int, target: int, gap: int = 0) -> None:
         """Append a direct call."""
-        self.branch(pc, BranchType.DIRECT_CALL, True, target, gap)
+        self._pcs.append(pc)
+        self._types.append(_DIRECT_CALL)
+        self._takens.append(True)
+        self._targets.append(target)
+        self._gaps.append(gap)
 
     def direct_jump(self, pc: int, target: int, gap: int = 0) -> None:
         """Append a direct jump."""
-        self.branch(pc, BranchType.DIRECT_JUMP, True, target, gap)
+        self._pcs.append(pc)
+        self._types.append(_DIRECT_JUMP)
+        self._takens.append(True)
+        self._targets.append(target)
+        self._gaps.append(gap)
 
     def ret(self, pc: int, target: int, gap: int = 0) -> None:
         """Append a procedure return."""
-        self.branch(pc, BranchType.RETURN, True, target, gap)
+        self._pcs.append(pc)
+        self._types.append(_RETURN)
+        self._takens.append(True)
+        self._targets.append(target)
+        self._gaps.append(gap)
+
+    def extend(self, trace: Trace) -> None:
+        """Append every record of ``trace``."""
+        self._pcs.extend(trace.pcs.tolist())
+        self._types.extend(trace.types.tolist())
+        self._takens.extend(trace.takens.tolist())
+        self._targets.extend(trace.targets.tolist())
+        self._gaps.extend(trace.gaps.tolist())
 
     def __len__(self) -> int:
         return len(self._pcs)
@@ -128,9 +173,9 @@ class AddressAllocator:
     def site(self) -> int:
         """Next instruction address within the current function."""
         address = self._site_cursor
-        self._site_cursor += 4
-        if self._site_cursor >= self._next:
+        if address >= self._next:
             raise RuntimeError("function region exhausted; allocate a new one")
+        self._site_cursor = address + 4
         return address
 
 
@@ -141,6 +186,14 @@ class WorkloadSpec(abc.ABC):
     Every concrete spec is a frozen bag of parameters plus a seed; the
     corresponding ``generate_*`` function turns it into a :class:`Trace`
     deterministically.
+
+    Generation is resumable through :meth:`steps`.  The loop generators
+    (virtual dispatch, interpreter, switch, call/return) override it to
+    append one loop iteration per step and never read ``num_records``,
+    so they are *prefix-stable*: the trace for ``k`` records is a prefix
+    of the trace for any ``n > k``.  :func:`~repro.workloads.mixed.generate_mixed`
+    relies on that to generate each component only as far as its phases
+    reach.
     """
 
     name: str
@@ -154,6 +207,37 @@ class WorkloadSpec(abc.ABC):
     @abc.abstractmethod
     def generate(self) -> Trace:
         """Produce the trace for this spec."""
+
+    def steps(self, builder: TraceBuilder) -> Iterator[None]:
+        """Append this workload's records to ``builder``, a step at a time.
+
+        Yields after each step.  This default emits the whole
+        :meth:`generate` output as one step, which suits generators whose
+        output is not prefix-stable (a recursive walk cut short at
+        ``num_records``, a mixture whose phases are sized from it).
+        """
+        builder.extend(self.generate())
+        yield
+
+    def run_steps(self) -> Trace:
+        """Run :meth:`steps` until ``num_records`` records exist."""
+        builder = TraceBuilder(self.name)
+        advance(self.steps(builder), builder, self.num_records)
+        return builder.build()
+
+
+def advance(steps: Iterator[None], builder: TraceBuilder, target: int) -> None:
+    """Run ``steps`` until ``builder`` holds ``target`` records or they end.
+
+    Stops at the first step boundary at or past ``target``, so advancing
+    a prefix-stable generator to ``k`` and later to ``n >= k`` leaves
+    exactly the records a single advance to ``n`` would.
+    """
+    if len(builder) >= target:
+        return
+    for _ in steps:
+        if len(builder) >= target:
+            return
 
 
 def draw_gap(rng: np.random.Generator, mean_gap: float) -> int:

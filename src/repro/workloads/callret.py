@@ -13,7 +13,7 @@ the return-address stack rather than the indirect predictor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List
 
 from repro.trace.stream import Trace
 from repro.workloads.base import (
@@ -75,12 +75,21 @@ class CallReturnSpec(WorkloadSpec):
         """Produce the trace for this spec."""
         return generate_callret(self)
 
+    def steps(self, builder: TraceBuilder) -> Iterator[None]:
+        """One callback call per step; see :func:`callret_steps`."""
+        return callret_steps(self, builder)
 
-def generate_callret(spec: CallReturnSpec) -> Trace:
-    """Generate a function-pointer call-chain trace from ``spec``."""
+
+def callret_steps(
+    spec: CallReturnSpec, builder: TraceBuilder
+) -> Iterator[None]:
+    """Append call-chain records to ``builder``, one callback call per step.
+
+    Sets up the program layout, then yields after every loop iteration;
+    it never reads ``spec.num_records``, so it is prefix-stable.
+    """
     rng = spec.rng()
     alloc = AddressAllocator()
-    builder = TraceBuilder(spec.name)
 
     driver = alloc.function()
     loop_pc = alloc.site()
@@ -108,7 +117,7 @@ def generate_callret(spec: CallReturnSpec) -> Trace:
     chain = MarkovChain(matrix, rng)
 
     iteration = 0
-    while len(builder) < spec.num_records:
+    while True:
         selector = chain.step()
         site = iteration % spec.num_sites
         callees = site_callees[site]
@@ -149,5 +158,9 @@ def generate_callret(spec: CallReturnSpec) -> Trace:
             builder.ret(returning + 0x80, return_stack.pop(), gap=draw_gap(rng, 6.0))
 
         iteration += 1
+        yield
 
-    return builder.build()
+
+def generate_callret(spec: CallReturnSpec) -> Trace:
+    """Generate a function-pointer call-chain trace from ``spec``."""
+    return spec.run_steps()

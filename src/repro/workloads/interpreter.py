@@ -18,6 +18,7 @@ phase changes (interpreting a different function).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -74,12 +75,21 @@ class InterpreterSpec(WorkloadSpec):
         """Produce the trace for this spec."""
         return generate_interpreter(self)
 
+    def steps(self, builder: TraceBuilder) -> Iterator[None]:
+        """One bytecode dispatch per step; see :func:`interpreter_steps`."""
+        return interpreter_steps(self, builder)
 
-def generate_interpreter(spec: InterpreterSpec) -> Trace:
-    """Generate an interpreter-loop trace from ``spec``."""
+
+def interpreter_steps(
+    spec: InterpreterSpec, builder: TraceBuilder
+) -> Iterator[None]:
+    """Append interpreter records to ``builder``, one dispatch per step.
+
+    Sets up the program layout, then yields after every loop iteration;
+    it never reads ``spec.num_records``, so it is prefix-stable.
+    """
     rng = spec.rng()
     alloc = AddressAllocator()
-    builder = TraceBuilder(spec.name)
 
     driver = alloc.function()
     loop_pc = alloc.site()
@@ -107,7 +117,7 @@ def generate_interpreter(spec: InterpreterSpec) -> Trace:
     position = 0
     executions = 0
 
-    while len(builder) < spec.num_records:
+    while True:
         opcode = program[position]
 
         # Interpreter loop back edge.
@@ -149,5 +159,9 @@ def generate_interpreter(spec: InterpreterSpec) -> Trace:
             executions += 1
             if spec.restart_period and executions % spec.restart_period == 0:
                 program = draw_program()
+        yield
 
-    return builder.build()
+
+def generate_interpreter(spec: InterpreterSpec) -> Trace:
+    """Generate an interpreter-loop trace from ``spec``."""
+    return spec.run_steps()

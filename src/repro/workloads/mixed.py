@@ -12,12 +12,12 @@ higher than steady-state microbenchmarks suggest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.trace.stream import Trace, concatenate
-from repro.workloads.base import WorkloadSpec
+from repro.workloads.base import TraceBuilder, WorkloadSpec, advance
 
 
 @dataclass
@@ -50,62 +50,78 @@ class MixedSpec(WorkloadSpec):
 def generate_mixed(spec: MixedSpec) -> Trace:
     """Generate a phase-interleaved trace from ``spec``.
 
-    Each component generates one long sub-trace (deterministic in the
-    component's own seed mixed with the mixture seed), which is then cut
-    into ``phase_records`` slices; phases are interleaved weighted
-    round-robin until ``spec.num_records`` records accumulate.
+    Component ``i`` stands for the sub-trace its spec generates at
+    ``int(num_records * share_i) + phase_records`` records (``share_i``
+    being its weight over the total), seeded from its own seed mixed with
+    the mixture seed and relocated to its own 4 GiB "shared library"
+    base.  Phases are dealt round-robin: each visit cuts the component's
+    next ``phase_records`` records, skipping components that have run
+    out, until ``spec.num_records`` records accumulate or all run out.
+
+    Components are generated lazily through
+    :meth:`~repro.workloads.base.WorkloadSpec.steps`: each is advanced
+    only as far as the phase being cut needs, and one the round-robin
+    never reaches is never set up.  Loop generators are prefix-stable and
+    every other spec emits its whole trace in one step, so the phases are
+    exactly those cut from fully generated sub-traces.
     """
     total_weight = sum(weight for _, weight in spec.components)
-    sub_traces: List[Trace] = []
-    for position, (component, weight) in enumerate(spec.components):
-        share = weight / total_weight
-        needed = int(spec.num_records * share) + spec.phase_records
-        sub_spec = replace(
-            component,
-            name=f"{spec.name}/{component.name}",
-            seed=component.seed ^ (spec.seed * 0x9E3779B9 + position),
-            num_records=needed,
-        )
-        sub = sub_spec.generate()
-        # Relocate each component to its own "shared library" base so
-        # branches from different components never alias by PC.
-        offset = np.uint64(position) * np.uint64(0x0000_0001_0000_0000)
-        sub_traces.append(
-            Trace(
-                name=sub.name,
-                pcs=sub.pcs + offset,
-                types=sub.types,
-                takens=sub.takens,
-                targets=sub.targets + offset,
-                gaps=sub.gaps,
-            )
-        )
-
-    phases: List[Trace] = []
-    cursors = [0] * len(sub_traces)
+    count = len(spec.components)
+    needed = [
+        int(spec.num_records * (weight / total_weight)) + spec.phase_records
+        for _, weight in spec.components
+    ]
+    builders: List[Optional[TraceBuilder]] = [None] * count
+    steps: List[Optional[Iterator[None]]] = [None] * count
+    cursors = [0] * count
+    cuts: List[Tuple[int, int, int]] = []
     emitted = 0
     position = 0
-    while emitted < spec.num_records:
-        index = position % len(sub_traces)
+    idle = 0  # consecutive visits that found their component run out
+    while emitted < spec.num_records and idle < count:
+        index = position % count
         position += 1
-        sub = sub_traces[index]
+        builder = builders[index]
+        if builder is None:
+            component = spec.components[index][0]
+            sub_spec = replace(
+                component,
+                name=f"{spec.name}/{component.name}",
+                seed=component.seed ^ (spec.seed * 0x9E3779B9 + index),
+                num_records=needed[index],
+            )
+            builder = builders[index] = TraceBuilder(sub_spec.name)
+            steps[index] = sub_spec.steps(builder)
         start = cursors[index]
-        if start >= len(sub):
+        reach = start + min(spec.phase_records, spec.num_records - emitted)
+        # Once a component reaches ``needed`` its length is final, as
+        # ``generate()`` at ``needed`` records would leave it; short of
+        # that, advancing leaves at least ``reach`` records to cut.
+        advance(steps[index], builder, min(reach, needed[index]))
+        stop = min(reach, len(builder))
+        if stop <= start:
+            idle += 1
             continue
-        stop = min(start + spec.phase_records, len(sub))
+        idle = 0
         cursors[index] = stop
-        phase = Trace(
-            name=sub.name,
-            pcs=sub.pcs[start:stop],
-            types=sub.types[start:stop],
-            takens=sub.takens[start:stop],
-            targets=sub.targets[start:stop],
-            gaps=sub.gaps[start:stop],
-        )
-        phases.append(phase)
-        emitted += len(phase)
-        if all(cursor >= len(trace) for cursor, trace in zip(cursors, sub_traces)):
-            break
+        cuts.append((index, start, stop))
+        emitted += stop - start
 
-    merged = concatenate(spec.name, phases)
-    return merged.head(spec.num_records) if len(merged) > spec.num_records else merged
+    subs = [None if builder is None else builder.build() for builder in builders]
+    phases = []
+    for index, start, stop in cuts:
+        sub = subs[index]
+        # Relocate each component to its own "shared library" base so
+        # branches from different components never alias by PC.
+        offset = np.uint64(index) * np.uint64(0x0000_0001_0000_0000)
+        phases.append(
+            Trace(
+                name=sub.name,
+                pcs=sub.pcs[start:stop] + offset,
+                types=sub.types[start:stop],
+                takens=sub.takens[start:stop],
+                targets=sub.targets[start:stop] + offset,
+                gaps=sub.gaps[start:stop],
+            )
+        )
+    return concatenate(spec.name, phases)

@@ -13,6 +13,7 @@ predictors signal for the *next* dispatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.trace.stream import Trace
 from repro.workloads.base import (
@@ -73,12 +74,21 @@ class SwitchCaseSpec(WorkloadSpec):
         """Produce the trace for this spec."""
         return generate_switchcase(self)
 
+    def steps(self, builder: TraceBuilder) -> Iterator[None]:
+        """One switch dispatch per step; see :func:`switchcase_steps`."""
+        return switchcase_steps(self, builder)
 
-def generate_switchcase(spec: SwitchCaseSpec) -> Trace:
-    """Generate a switch/jump-table trace from ``spec``."""
+
+def switchcase_steps(
+    spec: SwitchCaseSpec, builder: TraceBuilder
+) -> Iterator[None]:
+    """Append jump-table records to ``builder``, one dispatch per step.
+
+    Sets up the program layout, then yields after every loop iteration;
+    it never reads ``spec.num_records``, so it is prefix-stable.
+    """
     rng = spec.rng()
     alloc = AddressAllocator()
-    builder = TraceBuilder(spec.name)
 
     driver = alloc.function()
     loop_pc = alloc.site()
@@ -107,7 +117,7 @@ def generate_switchcase(spec: SwitchCaseSpec) -> Trace:
     chain = MarkovChain(matrix, rng)
 
     iteration = 0
-    while len(builder) < spec.num_records:
+    while True:
         case = chain.step()
         switch = iteration % spec.num_switches
 
@@ -147,5 +157,9 @@ def generate_switchcase(spec: SwitchCaseSpec) -> Trace:
         builder.direct_jump(handler + 0x60, loop_pc, gap=draw_gap(rng, 2.0))
 
         iteration += 1
+        yield
 
-    return builder.build()
+
+def generate_switchcase(spec: SwitchCaseSpec) -> Trace:
+    """Generate a switch/jump-table trace from ``spec``."""
+    return spec.run_steps()

@@ -24,7 +24,7 @@ ITTAGE.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List
 
 from repro.trace.stream import Trace
 from repro.workloads.base import (
@@ -107,17 +107,26 @@ class VirtualDispatchSpec(WorkloadSpec):
         """Produce the trace for this spec."""
         return generate_vdispatch(self)
 
+    def steps(self, builder: TraceBuilder) -> Iterator[None]:
+        """One dispatch per step; see :func:`vdispatch_steps`."""
+        return vdispatch_steps(self, builder)
+
 
 def _signal_bit_count(num_types: int) -> int:
     """Bits needed to encode a type index."""
     return max(1, (num_types - 1).bit_length())
 
 
-def generate_vdispatch(spec: VirtualDispatchSpec) -> Trace:
-    """Generate a virtual-dispatch trace from ``spec``."""
+def vdispatch_steps(
+    spec: VirtualDispatchSpec, builder: TraceBuilder
+) -> Iterator[None]:
+    """Append virtual-dispatch records to ``builder``, one dispatch per step.
+
+    Sets up the program layout, then yields after every loop iteration;
+    it never reads ``spec.num_records``, so it is prefix-stable.
+    """
     rng = spec.rng()
     alloc = AddressAllocator()
-    builder = TraceBuilder(spec.name)
 
     # Static program layout. One driver function holds the loop branch,
     # the signal branches, the lag branches, and the call sites.
@@ -160,7 +169,7 @@ def generate_vdispatch(spec: VirtualDispatchSpec) -> Trace:
     lag_phase = 0
 
     dispatches = 0
-    while len(builder) < spec.num_records:
+    while True:
         type_index = chain.step()
 
         # Loop-back conditional (taken; models the driver loop).
@@ -229,5 +238,9 @@ def generate_vdispatch(spec: VirtualDispatchSpec) -> Trace:
                 self_loop=clamped_self_loop(spec.determinism, spec.self_loop),
             )
             chain = MarkovChain(matrix, rng, initial_state=chain.state)
+        yield
 
-    return builder.build()
+
+def generate_vdispatch(spec: VirtualDispatchSpec) -> Trace:
+    """Generate a virtual-dispatch trace from ``spec``."""
+    return spec.run_steps()

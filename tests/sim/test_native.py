@@ -17,6 +17,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from repro.predictors.ittage import ITTAGE
 from repro.predictors.vpc import VPCConfig, VPCPredictor
 from repro.sim import native
 from repro.sim.engine import simulate
@@ -83,6 +84,15 @@ class TestArgumentChecks:
         tables[0] = tables[0].astype(np.int16)
         trace = suite88_specs(0.05)[0].generate()
         with pytest.raises(ValueError, match="weights: expected dtype int8"):
+            simulate(predictor, trace, backend="columnar-strict")
+
+    def test_wrong_dtype_table_raises_before_ittage_replay(self):
+        if native.load("ittage_replay") is None:
+            pytest.skip("no C compiler in this environment")
+        predictor = ITTAGE()
+        predictor._base_ctr = predictor._base_ctr.astype(np.int16)
+        trace = suite88_specs(0.05)[0].generate()
+        with pytest.raises(ValueError, match="base_ctr: expected dtype int8"):
             simulate(predictor, trace, backend="columnar-strict")
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.trace.record import BranchType
 from repro.workloads.base import (
+    TEXT_BASE,
     AddressAllocator,
     TraceBuilder,
     draw_gap,
@@ -71,10 +72,11 @@ class TestAddressAllocator:
 
     def test_site_overflow_detected(self):
         alloc = AddressAllocator(function_size=0x40)
-        alloc.function()
+        assert alloc.function() == TEXT_BASE + 0x4
+        sites = [alloc.site() for _ in range(15)]
+        assert sites[-1] == TEXT_BASE + 0x3C  # the region's last slot
         with pytest.raises(RuntimeError):
-            for _ in range(100):
-                alloc.site()
+            alloc.site()
 
     def test_misaligned_base_rejected(self):
         with pytest.raises(ValueError):

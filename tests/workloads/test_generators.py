@@ -5,8 +5,12 @@ invariants (call/return pairing, branch-type mix), and the statistical
 properties the suite relies on (polymorphism degree, signal presence).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace.record import BranchType
 from repro.trace.stats import compute_stats
@@ -234,3 +238,35 @@ class TestCallReturn:
             CallReturnSpec(name="x", seed=1, num_records=10, num_callbacks=0)
         with pytest.raises(ValueError):
             CallReturnSpec(name="x", seed=1, num_records=10, polymorphism_cap=0)
+
+
+_LOOP_SPECS = [
+    VirtualDispatchSpec(name="vd", seed=1, num_records=1, signal_noise=0.1,
+                        signal_lag=4, phase_length=30, monomorphic_sites=3),
+    InterpreterSpec(name="in", seed=2, num_records=1, restart_period=2),
+    SwitchCaseSpec(name="sw", seed=3, num_records=1, num_switches=3),
+    CallReturnSpec(name="cr", seed=4, num_records=1, call_depth=3),
+]
+
+
+class TestPrefixStability:
+    """A loop generator's trace for k records is a prefix of its trace
+    for any n > k, which is what lets mixtures generate lazily."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.sampled_from(_LOOP_SPECS),
+        seed=st.integers(0, 2**32),
+        k=st.integers(1, 3000),
+        extra=st.integers(1, 3000),
+    )
+    def test_shorter_trace_is_prefix(self, spec, seed, k, extra):
+        short = replace(spec, seed=seed, num_records=k).generate()
+        long = replace(spec, seed=seed, num_records=k + extra).generate()
+        assert k <= len(short) <= len(long)
+        for column in ("pcs", "types", "takens", "targets", "gaps"):
+            np.testing.assert_array_equal(
+                getattr(short, column),
+                getattr(long, column)[: len(short)],
+                err_msg=column,
+            )

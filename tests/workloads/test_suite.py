@@ -1,5 +1,7 @@
 """Unit tests for repro.workloads.suite (Table 1 inventory)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,45 @@ class TestSuite88Specs:
             specs["LONG-MOBILE-1"].spec.num_records
             > specs["SHORT-MOBILE-1"].spec.num_records
         )
+
+
+def _suite_digest(scale):
+    """SHA-256 over every column of the 88 traces, in suite order."""
+    digest = hashlib.sha256()
+    for entry in suite88_specs(scale=scale):
+        trace = entry.spec.generate()
+        for column in (
+            trace.pcs, trace.types, trace.takens, trace.targets, trace.gaps
+        ):
+            digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+class TestSuiteContent:
+    """The generated suite is pinned byte for byte.
+
+    Any change to a generator, the trace builder or the mixer that moves
+    a single record of the 88 traces changes these digests.
+    """
+
+    @pytest.mark.parametrize(
+        "scale, expected",
+        [
+            (
+                0.15,
+                "f4f37a6bafe512f28815d0373d7c5d64"
+                "cf19ed949b433271d5a2e2d340edb420",
+            ),
+            (
+                1.0,
+                "bb0eefd243bbf1587397ef5c072a1bc5"
+                "50f2c451aa429201a5e72311272612d3",
+            ),
+        ],
+        ids=["scale-0.15", "scale-1.0"],
+    )
+    def test_suite_digest(self, scale, expected):
+        assert _suite_digest(scale) == expected
 
 
 class TestCBP4Suite:
