@@ -77,21 +77,37 @@ class SimulationCheckpoint:
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "SimulationCheckpoint":
         check_state(state, "SimulationCheckpoint")
-        cursor = int(state["cursor"])
-        require(cursor >= 0, "checkpoint cursor must be >= 0")
+        counters = {
+            name: int(state[name])
+            for name in (
+                "cursor", "skip", "indirect", "mispredictions", "returns",
+                "return_mispredictions", "conditionals",
+            )
+        }
+        by_pc = {int(pc): int(count) for pc, count in state["by_pc"].items()}
+        # A resumed run adds to these counters as they stand, so a
+        # damaged one would skew the final MPKI without any error.
+        for name, value in counters.items():
+            require(value >= 0, f"checkpoint {name} must be >= 0")
+        require(
+            all(count >= 0 for count in by_pc.values()),
+            "checkpoint by_pc counts must be >= 0",
+        )
+        require(
+            counters["mispredictions"] <= counters["indirect"],
+            "checkpoint mispredictions exceed indirect branches",
+        )
+        require(
+            counters["return_mispredictions"] <= counters["returns"],
+            "checkpoint return mispredictions exceed returns",
+        )
         return cls(
             trace_name=state["trace_name"],
             predictor_name=state["predictor_name"],
-            cursor=cursor,
-            skip=int(state["skip"]),
-            indirect=int(state["indirect"]),
-            mispredictions=int(state["mispredictions"]),
-            returns=int(state["returns"]),
-            return_mispredictions=int(state["return_mispredictions"]),
-            conditionals=int(state["conditionals"]),
-            by_pc={int(pc): int(count) for pc, count in state["by_pc"].items()},
+            by_pc=by_pc,
             ras=state["ras"],
             predictor=state["predictor"],
+            **counters,
         )
 
     def checkpoint_hash(self) -> str:

@@ -37,14 +37,16 @@ from repro.sim.metrics import SimulationResult
 from repro.sim.ras import ReturnAddressStack
 from repro.trace.derived import DerivedPlane
 from repro.trace.record import BranchType
+from repro.trace.sampling import window
 from repro.trace.stream import Trace
 
 #: Recognized simulation backends.  "scalar" is the per-branch Python
-#: loop below; "columnar" dispatches eligible cells to the batch tensor
-#: kernels in :mod:`repro.sim.kernel` (bit-identical results) and falls
-#: back to the scalar loop otherwise — warning when the fallback is due
-#: to an unsupported predictor; "columnar-strict" refuses to fall back
-#: and raises :class:`ColumnarUnsupportedError` carrying the reason.
+#: loop below; "columnar" replays each span of a supported predictor's
+#: run through the batch tensor kernels in :mod:`repro.sim.kernel`
+#: (bit-identical results) and falls back to the scalar loop otherwise —
+#: warning when the fallback is due to an unsupported predictor;
+#: "columnar-strict" refuses to fall back and raises
+#: :class:`ColumnarUnsupportedError` carrying the reason.
 BACKENDS: Tuple[str, ...] = ("scalar", "columnar", "columnar-strict")
 
 
@@ -64,21 +66,10 @@ def _check_backend(backend: str) -> None:
         )
 
 
-def _columnar_blockers(
-    checkpoint_every: int,
-    checkpoint_path: Optional[str],
-    resume_from: Optional[SimulationCheckpoint],
-    counters: Optional[SimCounters],
-) -> List[str]:
+def _columnar_blockers(counters: Optional[SimCounters]) -> List[str]:
     """Engine features the columnar kernels do not cover."""
-    blockers = []
-    if checkpoint_every or checkpoint_path is not None:
-        blockers.append("checkpointing (checkpoint_every/checkpoint_path)")
-    if resume_from is not None:
-        blockers.append("resume (resume_from)")
-    if counters is not None:
-        blockers.append("profiling (counters)")
-    return blockers
+    return ["profiling (counters)"] if counters is not None else []
+
 
 _COND = int(BranchType.CONDITIONAL)
 _DIRECT_JUMP = int(BranchType.DIRECT_JUMP)
@@ -181,6 +172,79 @@ def _replay_span(
     return skip, indirect, mispredictions, returns, return_mispredictions, conditionals
 
 
+def _replay_span_columnar(
+    predictor,
+    span: Trace,
+    ras: Optional[ReturnAddressStack],
+    ras_depth,
+    derived,
+    collect_per_pc,
+    by_pc,
+    skip,
+    indirect,
+    mispredictions,
+    returns,
+    return_mispredictions,
+    conditionals,
+) -> Tuple[int, int, int, int, int, int]:
+    """:func:`_replay_span`'s contract, over one span as a columnar replay.
+
+    ``span`` is the span's records as a standalone trace.  The kernel
+    takes the warm predictor, replays the span with the still-pending
+    warm-up records untallied, and writes the predictor's state back, so
+    successive spans chain exactly as the scalar loop's do.
+
+    The kernel scores returns against a RAS that is empty at the span's
+    first record.  That is only true of a whole-trace run that resumes
+    from nothing, which passes ``ras=None`` and keeps the kernel's
+    counts.  Every other span replays its calls and returns through the
+    real ``ras`` so snapshots carry its state, overflows included.
+    """
+    warm = min(skip, len(span))
+    result = kernel.simulate_columnar(
+        predictor,
+        span,
+        ras_depth=ras_depth,
+        warmup_records=warm,
+        collect_per_pc=collect_per_pc,
+        derived=derived,
+    )
+    indirect += result.indirect_branches
+    mispredictions += result.indirect_mispredictions
+    conditionals += result.conditional_branches
+    for pc, count in result.mispredictions_by_pc.items():
+        by_pc[pc] = by_pc.get(pc, 0) + count
+    if ras is None:
+        returns += result.return_branches
+        return_mispredictions += result.return_mispredictions
+    else:
+        types = span.types
+        flow = np.flatnonzero(
+            (types == _DIRECT_CALL)
+            | (types == _INDIRECT_CALL)
+            | (types == _RETURN)
+        )
+        for offset, branch_type, pc, target in zip(
+            flow.tolist(),
+            types[flow].tolist(),
+            span.pcs[flow].tolist(),
+            span.targets[flow].tolist(),
+        ):
+            if branch_type == _RETURN:
+                ras_prediction = ras.predict()
+                ras.pop()
+                if offset >= warm:
+                    returns += 1
+                    if ras_prediction != target:
+                        return_mispredictions += 1
+            else:
+                ras.push(pc + 4)
+    return (
+        skip - warm, indirect, mispredictions,
+        returns, return_mispredictions, conditionals,
+    )
+
+
 def simulate(
     predictor: IndirectBranchPredictor,
     trace: Trace,
@@ -231,15 +295,15 @@ def simulate(
             resuming, because those paths must snapshot real RAS state.
         backend: "scalar" (this per-branch loop), "columnar" (the
             batch tensor kernels in :mod:`repro.sim.kernel`), or
-            "columnar-strict".  The columnar backend produces
-            bit-identical results and final predictor state; it falls
-            back to the scalar loop for predictors it does not support
-            (with a ``RuntimeWarning`` naming the reason) and for
-            features it does not cover (checkpointing, resume,
-            profiling counters).  "columnar-strict" never falls back —
-            it raises :class:`ColumnarUnsupportedError` instead, for
-            callers that need the kernel's throughput or an explicit
-            failure.
+            "columnar-strict".  The columnar backend replays the same
+            spans as the scalar loop, checkpointing and resume included,
+            and produces bit-identical results, snapshots and final
+            predictor state.  It falls back to the scalar loop for
+            predictors it does not support (with a ``RuntimeWarning``
+            naming the reason) and for profiling ``counters``.
+            "columnar-strict" never falls back — it raises
+            :class:`ColumnarUnsupportedError` instead, for callers that
+            need the kernel's throughput or an explicit failure.
     """
     if checkpoint_every < 0:
         raise ValueError(
@@ -251,24 +315,12 @@ def simulate(
         )
     _check_backend(backend)
 
+    columnar = False
     if backend in ("columnar", "columnar-strict"):
         supported, reason = kernel.columnar_support(predictor)
-        blockers = _columnar_blockers(
-            checkpoint_every, checkpoint_path, resume_from, counters
-        )
-        if supported and not blockers:
-            # The kernel validates (or computes) the derived plane
-            # itself and returns results and final predictor state
-            # bit-identical to the scalar loop below.
-            return kernel.simulate_columnar(
-                predictor,
-                trace,
-                ras_depth=ras_depth,
-                warmup_records=warmup_records,
-                collect_per_pc=collect_per_pc,
-                derived=derived,
-            )
-        if backend == "columnar-strict":
+        blockers = _columnar_blockers(counters)
+        columnar = supported and not blockers
+        if not columnar and backend == "columnar-strict":
             if not supported:
                 raise ColumnarUnsupportedError(reason)
             raise ColumnarUnsupportedError(
@@ -283,16 +335,17 @@ def simulate(
                 stacklevel=2,
             )
 
-    pcs, types, takens, targets = trace.scalar_columns()
-    total = len(pcs)
+    total = len(trace)
+    # One span over the whole trace from a fresh start: the RAS outcomes
+    # are a pure function of the trace, so no live stack is needed — the
+    # columnar kernel scores returns itself and the scalar loop can read
+    # them off the derived plane.  Snapshots and resumes need a live one.
+    whole = not checkpoint_every and resume_from is None
 
-    ras: object
-    if (
-        derived is not None
-        and not checkpoint_every
-        and resume_from is None
-        and checkpoint_path is None
-    ):
+    ras: object = None
+    if not whole or (derived is None and not columnar):
+        ras = ReturnAddressStack(ras_depth)
+    elif not columnar:
         if not derived.matches(trace, ras_depth):
             raise ValueError(
                 f"derived plane is for {derived.trace_name!r} "
@@ -300,8 +353,6 @@ def simulate(
                 f"not {trace.name!r} ({total} records, ras_depth={ras_depth})"
             )
         ras = _DerivedRAS(derived.return_predictions())
-    else:
-        ras = ReturnAddressStack(ras_depth)
     indirect = 0
     mispredictions = 0
     returns = 0
@@ -340,39 +391,66 @@ def simulate(
 
     started_at = cursor
 
-    on_conditional = predictor.on_conditional
-    on_retired = predictor.on_retired
-    predict_target = predictor.predict_target
-    train = predictor.train
-
     cell: Optional[SimCounters] = None
-    if counters is not None:
-        # Profiling wraps the three hot callables with timers.  The
-        # wrappers only exist on this branch, so the common unprofiled
-        # path keeps its direct bound-method calls.
-        cell = SimCounters()
-        perf = time.perf_counter
+    if columnar:
 
-        def on_conditional(pc, taken, _inner=on_conditional):
-            began = perf()
-            _inner(pc, taken)
-            cell.conditional_seconds += perf() - began
+        def replay(lower, upper, *accumulators):
+            span = trace
+            if lower or upper < total:
+                span = window(trace, lower, upper - lower)
+            return _replay_span_columnar(
+                predictor, span, ras, ras_depth,
+                derived if whole else None,
+                collect_per_pc, by_pc, *accumulators,
+            )
 
-        def predict_target(pc, _inner=predict_target):
-            began = perf()
-            prediction = _inner(pc)
-            cell.predict_seconds += perf() - began
-            return prediction
+    else:
+        pcs, types, takens, targets = trace.scalar_columns()
+        on_conditional = predictor.on_conditional
+        on_retired = predictor.on_retired
+        predict_target = predictor.predict_target
+        train = predictor.train
 
-        def train(pc, target, _inner=train):
-            began = perf()
-            _inner(pc, target)
-            cell.train_seconds += perf() - began
+        if counters is not None:
+            # Profiling wraps the three hot callables with timers.  The
+            # wrappers only exist on this branch, so the common
+            # unprofiled path keeps its direct bound-method calls.
+            cell = SimCounters()
+            perf = time.perf_counter
 
-        loop_started = perf()
+            def on_conditional(pc, taken, _inner=on_conditional):
+                began = perf()
+                _inner(pc, taken)
+                cell.conditional_seconds += perf() - began
 
-    if not checkpoint_every and cursor == 0:
-        # Fast path: the whole trace in one span, zero checkpoint cost.
+            def predict_target(pc, _inner=predict_target):
+                began = perf()
+                prediction = _inner(pc)
+                cell.predict_seconds += perf() - began
+                return prediction
+
+            def train(pc, target, _inner=train):
+                began = perf()
+                _inner(pc, target)
+                cell.train_seconds += perf() - began
+
+            loop_started = perf()
+
+        def replay(lower, upper, *accumulators):
+            columns = (pcs, types, takens, targets)
+            if lower or upper < total:
+                columns = tuple(column[lower:upper] for column in columns)
+            return _replay_span(
+                *columns,
+                on_conditional, predict_target, train, on_retired,
+                ras, collect_per_pc, by_pc, *accumulators,
+            )
+
+    # Zero checkpoint interval: the whole rest of the trace is one span
+    # and the checkpoint machinery costs nothing.
+    span = checkpoint_every if checkpoint_every else total
+    while cursor < total:
+        upper = min(cursor + span, total)
         (
             skip,
             indirect,
@@ -380,52 +458,31 @@ def simulate(
             returns,
             return_mispredictions,
             conditionals,
-        ) = _replay_span(
-            pcs, types, takens, targets,
-            on_conditional, predict_target, train, on_retired,
-            ras, collect_per_pc, by_pc,
+        ) = replay(
+            cursor, upper,
             skip, indirect, mispredictions,
             returns, return_mispredictions, conditionals,
         )
-    else:
-        span = checkpoint_every if checkpoint_every else total
-        while cursor < total:
-            upper = min(cursor + span, total)
-            (
-                skip,
-                indirect,
-                mispredictions,
-                returns,
-                return_mispredictions,
-                conditionals,
-            ) = _replay_span(
-                pcs[cursor:upper], types[cursor:upper],
-                takens[cursor:upper], targets[cursor:upper],
-                on_conditional, predict_target, train, on_retired,
-                ras, collect_per_pc, by_pc,
-                skip, indirect, mispredictions,
-                returns, return_mispredictions, conditionals,
+        cursor = upper
+        if checkpoint_every and cursor < total:
+            checkpoint = SimulationCheckpoint(
+                trace_name=trace.name,
+                predictor_name=predictor.name,
+                cursor=cursor,
+                skip=skip,
+                indirect=indirect,
+                mispredictions=mispredictions,
+                returns=returns,
+                return_mispredictions=return_mispredictions,
+                conditionals=conditionals,
+                by_pc=dict(by_pc),
+                ras=ras.state_dict(),
+                predictor=predictor.state_dict(),
             )
-            cursor = upper
-            if checkpoint_every and cursor < total:
-                checkpoint = SimulationCheckpoint(
-                    trace_name=trace.name,
-                    predictor_name=predictor.name,
-                    cursor=cursor,
-                    skip=skip,
-                    indirect=indirect,
-                    mispredictions=mispredictions,
-                    returns=returns,
-                    return_mispredictions=return_mispredictions,
-                    conditionals=conditionals,
-                    by_pc=dict(by_pc),
-                    ras=ras.state_dict(),
-                    predictor=predictor.state_dict(),
-                )
-                if checkpoint_path is not None:
-                    save_checkpoint(checkpoint, checkpoint_path)
-                if on_checkpoint is not None:
-                    on_checkpoint(checkpoint)
+            if checkpoint_path is not None:
+                save_checkpoint(checkpoint, checkpoint_path)
+            if on_checkpoint is not None:
+                on_checkpoint(checkpoint)
 
     result = SimulationResult(
         trace_name=trace.name,
@@ -532,23 +589,26 @@ def simulate_sampled(
         plan: a :class:`~repro.trace.sampling.SamplingPlan`; built from
             ``interval_records``/``max_regions``/``warmup_intervals``
             when omitted.
-        ras_depth, collect_per_pc, backend: forwarded to
-            :func:`simulate` per region (the columnar backend
-            accelerates sampled spans exactly as it does full runs).
+        ras_depth, collect_per_pc, backend: forwarded to every
+            :func:`simulate` call, the checkpointed cold and warm ones
+            included, so a region replays on the columnar kernels
+            whether or not its warm-up is cached (and
+            "columnar-strict" raises rather than run one scalar).
         checkpoint_dir: when given, each region's post-warm-up state is
-            cached as a PR 4 :class:`SimulationCheckpoint` in a
+            cached as a :class:`SimulationCheckpoint` in a
             content-addressed file; later calls with the same trace
             bytes, region geometry, and predictor configuration restore
             it through the engine's ``resume_from`` path and skip the
             warm-up replay entirely.  Results are bit-identical either
-            way (resume is per-branch identical by construction).
+            way (resume is per-branch identical by construction), and
+            so are the checkpoint files whichever backend writes them.
 
     Returns:
         A :class:`SampledSimulationResult`; its ``region_results``
         entries are ordinary :class:`SimulationResult`s over the
         warm+measure windows.
     """
-    from repro.trace.sampling import SamplingPlan, simpoint_plan, window
+    from repro.trace.sampling import SamplingPlan, simpoint_plan
 
     if plan is None:
         plan = simpoint_plan(
@@ -611,6 +671,7 @@ def simulate_sampled(
                     warmup_records=region.warmup,
                     collect_per_pc=collect_per_pc,
                     resume_from=cached,
+                    backend=backend,
                 )
                 warm_hits += 1
         if result is None:
@@ -634,6 +695,7 @@ def simulate_sampled(
                     collect_per_pc=collect_per_pc,
                     checkpoint_every=region.warmup,
                     on_checkpoint=keep_warm_boundary,
+                    backend=backend,
                 )
             else:
                 result = simulate(

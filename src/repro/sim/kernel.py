@@ -1327,9 +1327,9 @@ def simulate_columnar(
     hash (so repeated simulations of one trace skip the pure passes).
 
     Callers normally go through :func:`repro.sim.engine.simulate` with
-    ``backend="columnar"``, which validates support and falls back to
-    the scalar loop for features the kernels do not cover
-    (checkpointing, resume, profiling).
+    ``backend="columnar"``, which validates support, calls this once
+    per checkpoint span (a window of the trace, with the warm predictor
+    carried across), and falls back to the scalar loop for profiling.
 
     ``prediction_sink``, when given a dict, receives the kernel's
     per-branch arrays after replay — ``indirect_idx`` (record index of

@@ -174,6 +174,35 @@ class TestCheckpointFiles:
             resumed.indirect_mispredictions == plain.indirect_mispredictions
         )
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"skip": -1},
+            {"cursor": -1},
+            {"indirect": -3},
+            {"mispredictions": -1},
+            {"returns": -2},
+            {"return_mispredictions": -1},
+            {"conditionals": -5},
+            {"by_pc": {"4096": -1}},
+            {"mispredictions": 10**6},
+            {"return_mispredictions": 10**6},
+        ],
+        ids=lambda edit: "-".join(f"{key}={value}" for key, value in edit.items()),
+    )
+    def test_inconsistent_counters_load_as_none(self, trace, tmp_path, edit):
+        """A checkpoint whose counters cannot come from a run is damaged:
+        resuming from it would add to bad counters and report a wrong
+        MPKI, so it loads as ``None`` and the run restarts from zero."""
+        _, grabbed = _collect(BLBP(), trace)
+        path = tmp_path / "cell.ckpt.json"
+        save_checkpoint(grabbed[0], path)
+        assert load_checkpoint(path) is not None
+        state = json.loads(path.read_text())
+        state.update(edit)
+        path.write_text(json.dumps(state))
+        assert load_checkpoint(path) is None
+
 
 def test_default_interval_is_sane():
     assert DEFAULT_CHECKPOINT_INTERVAL >= 10_000

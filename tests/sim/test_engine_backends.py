@@ -1,12 +1,12 @@
 """Backend dispatch: columnar fallback policy and ``columnar-strict``.
 
 The engine's ``backend`` parameter has three values with distinct
-contracts: ``"columnar"`` silently covers what the kernels support,
-warns (``RuntimeWarning``) and falls back to scalar for unsupported
-predictors, and falls back silently for engine features the kernels do
-not model (checkpointing, resume, profiling counters — documented
-engine behavior, not an anomaly worth a warning); ``"columnar-strict"``
-never falls back, raising :class:`ColumnarUnsupportedError` with the
+contracts: ``"columnar"`` covers what the kernels support —
+checkpointing and resume included, span by span — warns
+(``RuntimeWarning``) and falls back to scalar for unsupported
+predictors, and falls back silently for profiling counters, the one
+engine feature the kernels do not model; ``"columnar-strict"`` never
+falls back, raising :class:`ColumnarUnsupportedError` with the
 :func:`repro.sim.kernel.columnar_support` reason or the blocking
 feature's name.  Either way the numbers are bit-identical to scalar.
 """
@@ -20,6 +20,7 @@ import pytest
 
 from repro.core import BLBP
 from repro.predictors.ittage import ITTAGE
+from repro.sim import kernel
 from repro.sim.counters import SimCounters
 from repro.sim.engine import (
     BACKENDS,
@@ -62,12 +63,37 @@ class TestStrictBackend:
         with pytest.raises(ColumnarUnsupportedError, match="subclasses BLBP"):
             simulate(TracingBLBP(), _TRACE, backend="columnar-strict")
 
-    def test_checkpointing_blocker_raises(self):
-        with pytest.raises(ColumnarUnsupportedError, match="checkpointing"):
-            simulate(
-                BLBP(), _TRACE, backend="columnar-strict",
-                checkpoint_every=50, on_checkpoint=lambda snapshot: None,
+    def test_checkpoint_and_resume_match_scalar(self):
+        """Strict covers checkpointing and resume: every snapshot, the
+        result and the final state equal the scalar run's, and so does a
+        strict resume from the middle snapshot."""
+        runs = {}
+        for backend in ("scalar", "columnar-strict"):
+            predictor = ITTAGE()
+            snapshots = []
+            result = simulate(
+                predictor, _TRACE, warmup_records=70, collect_per_pc=True,
+                checkpoint_every=50, on_checkpoint=snapshots.append,
+                backend=backend,
             )
+            runs[backend] = (result, snapshots, predictor.state_hash())
+        scalar, scalar_snapshots, scalar_hash = runs["scalar"]
+        strict, snapshots, strict_hash = runs["columnar-strict"]
+        assert strict == scalar
+        assert strict_hash == scalar_hash
+        assert [s.checkpoint_hash() for s in snapshots] == [
+            s.checkpoint_hash() for s in scalar_snapshots
+        ]
+        assert [s.cursor for s in snapshots] == [50, 100, 150]
+
+        resumed_predictor = ITTAGE()
+        resumed = simulate(
+            resumed_predictor, _TRACE, warmup_records=70,
+            collect_per_pc=True, resume_from=snapshots[1],
+            backend="columnar-strict",
+        )
+        assert resumed == scalar
+        assert resumed_predictor.state_hash() == scalar_hash
 
     def test_counters_blocker_raises(self):
         with pytest.raises(ColumnarUnsupportedError, match="counters"):
@@ -114,10 +140,18 @@ class TestColumnarFallback:
             columnar_predictor.state_hash() == scalar_predictor.state_hash()
         )
 
-    def test_feature_fallback_is_silent(self):
-        """Checkpointing under ``backend="columnar"`` runs scalar (the
-        kernels cannot snapshot mid-trace) without any warning — the
-        fallback is documented behavior, not an anomaly."""
+    def test_feature_fallback_is_silent(self, monkeypatch):
+        """Checkpointing under ``backend="columnar"`` no longer falls
+        back: every span replays on the kernel, without any warning, and
+        the snapshots are taken all the same."""
+        spans = []
+        replay = kernel.simulate_columnar
+
+        def counted(predictor, span, **kwargs):
+            spans.append(len(span))
+            return replay(predictor, span, **kwargs)
+
+        monkeypatch.setattr(kernel, "simulate_columnar", counted)
         grabbed = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -125,7 +159,8 @@ class TestColumnarFallback:
                 BLBP(), _TRACE, backend="columnar",
                 checkpoint_every=64, on_checkpoint=grabbed.append,
             )
-        assert grabbed, "checkpoints were not taken on the fallback path"
+        assert spans == [64, 64, 64, 8], "a span did not reach the kernel"
+        assert [snapshot.cursor for snapshot in grabbed] == [64, 128, 192]
         assert result == simulate(BLBP(), _TRACE)
 
     def test_simulate_many_mixed_lanes_merge(self):

@@ -2,9 +2,29 @@
 
 import pytest
 
+from repro.core import BLBP
 from repro.predictors import ITTAGE, BranchTargetBuffer
-from repro.sim import simulate, simulate_sampled
-from repro.trace.sampling import simpoint_plan
+from repro.sim import ColumnarUnsupportedError, simulate, simulate_sampled
+from repro.trace.sampling import SampledRegion, SamplingPlan, simpoint_plan
+
+
+class TracingBLBP(BLBP):
+    """A subclass the exact-type kernels must refuse."""
+
+
+def _warm_plan(trace) -> SamplingPlan:
+    """Two regions, both with a warm-up; the first warm-up is shorter
+    than its window, so its cold pass snapshots several spans."""
+    return SamplingPlan(
+        trace_name=trace.name,
+        records=len(trace),
+        interval_records=500,
+        num_intervals=8,
+        regions=(
+            SampledRegion(start=1000, length=700, warmup=300, weight=0.6),
+            SampledRegion(start=3000, length=500, warmup=500, weight=0.4),
+        ),
+    )
 
 
 class TestSampledEstimate:
@@ -155,3 +175,44 @@ class TestWarmupCheckpoints:
             max_regions=3, warmup_intervals=0, checkpoint_dir=tmp_path,
         )
         assert list(tmp_path.glob("*.ckpt.json")) == []
+
+    def test_strict_refuses_unsupported_with_checkpoints(
+        self, vdispatch_trace, tmp_path
+    ):
+        """Every region has a warm-up, so every region runs through the
+        checkpointed calls; strict must still refuse the subclass."""
+        with pytest.raises(ColumnarUnsupportedError, match="subclasses"):
+            simulate_sampled(
+                TracingBLBP, vdispatch_trace,
+                plan=_warm_plan(vdispatch_trace),
+                backend="columnar-strict", checkpoint_dir=tmp_path,
+            )
+
+    @pytest.mark.parametrize("factory", [BLBP, ITTAGE])
+    def test_columnar_checkpoints_match_scalar_bytes(
+        self, vdispatch_trace, tmp_path, factory
+    ):
+        plan = _warm_plan(vdispatch_trace)
+        runs = {}
+        for backend in ("scalar", "columnar-strict"):
+            directory = tmp_path / backend
+            cold = simulate_sampled(
+                factory, vdispatch_trace, plan=plan, backend=backend,
+                checkpoint_dir=directory,
+            )
+            files = {
+                path.name: path.read_bytes()
+                for path in sorted(directory.glob("*.ckpt.json"))
+            }
+            warm = simulate_sampled(
+                factory, vdispatch_trace, plan=plan, backend=backend,
+                checkpoint_dir=directory,
+            )
+            assert warm.warm_checkpoint_hits == len(plan.regions)
+            runs[backend] = (cold, files, warm)
+        scalar, columnar = runs["scalar"], runs["columnar-strict"]
+        assert len(columnar[1]) == len(plan.regions)
+        assert columnar[1] == scalar[1]
+        assert columnar[0].region_results == scalar[0].region_results
+        assert columnar[2].estimated_mpki == scalar[2].estimated_mpki
+        assert columnar[2].region_results == scalar[2].region_results
